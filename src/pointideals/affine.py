@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from . import linalg
+from .linalg import Echelon
 from .poly import (
     DEGLEX,
     GroebnerBasis,
     Polynomial,
     exp_divides,
+    monomial_value,
     monomials_of_degree,
     normal_form,
     order_key,
@@ -138,14 +139,6 @@ def staircase_of(gb):
     return Staircase(gb.arity, tuple(sorted(gb.leading_exponents())))
 
 
-def _eval_monomial(exp, point):
-    v = Fraction(1)
-    for x, e in zip(point, exp):
-        if e:
-            v *= x ** e
-    return v
-
-
 def buchberger_moeller(pointset, order):
     """Reduced Groebner basis of the vanishing ideal of an affine point set.
 
@@ -165,36 +158,28 @@ def buchberger_moeller(pointset, order):
     heap = [(key(origin), origin)]
     seen = {origin}
     standard = []
-    std_vecs = []
+    ech = Echelon()
     corners = []
     basis = []
     while heap:
         _, exp = heapq.heappop(heap)
         if any(exp_divides(b, exp) for b in corners):
             continue
-        vec = [_eval_monomial(exp, p) for p in pts]
-        if standard:
-            a = linalg.Matrix(
-                len(pts), len(standard), [std_vecs[j][i] for i in range(len(pts)) for j in range(len(standard))]
-            )
-            sol = linalg.solve(a, vec)
-        else:
-            sol = ((), True) if all(v == 0 for v in vec) else None
-        if sol is not None:
-            coeffs = sol[0]
+        coeffs = ech.add([monomial_value(exp, p) for p in pts])
+        if coeffs is not None:
             terms = [(exp, Fraction(1))]
             terms.extend((standard[j], -c) for j, c in enumerate(coeffs) if c)
             corners.append(exp)
             basis.append(Polynomial(n, terms))
         else:
             standard.append(exp)
-            std_vecs.append(vec)
             for i in range(n):
                 ne = tuple(e + int(j == i) for j, e in enumerate(exp))
                 if ne not in seen:
                     seen.add(ne)
                     heapq.heappush(heap, (key(ne), ne))
-    assert len(standard) == len(pts), "standard monomial count must equal point count"
+    if len(standard) != len(pts):
+        raise ArithmeticError("standard monomial count must equal point count")
     basis.sort(key=lambda g: key(g.leading(order)[0]))
     gb = GroebnerBasis(order, tuple(basis))
     return gb, Staircase(n, tuple(sorted(corners))), standard
@@ -208,7 +193,6 @@ def canonical_element(sigma, gb):
         raise ValueError("exponent %r is standard; the ideal has no element led by it" % (sigma,))
     mono = Polynomial.monomial(len(sigma), sigma)
     f = mono - normal_form(mono, gb.elements, gb.order)
-    assert all(
-        e == sigma or not stair.contains(e) for e in f.terms
-    ), "canonical element tail must avoid the staircase"
+    if not all(e == sigma or not stair.contains(e) for e in f.terms):
+        raise ArithmeticError("canonical element tail must avoid the staircase")
     return f

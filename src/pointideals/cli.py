@@ -265,6 +265,9 @@ def main(argv=None):
     if args.order == DEGREVLEX and args.command != "compare-orders":
         print("degrevlex is permitted only for compare-orders", file=sys.stderr)
         return EXIT_INPUT
+    if args.degree_cap is not None and args.degree_cap < 0:
+        print("--degree-cap must be nonnegative, got %d" % args.degree_cap, file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except io.InputError as e:

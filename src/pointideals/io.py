@@ -24,11 +24,16 @@ class InputError(ValueError):
 
 def parse_rational(text):
     """Parse "p" or "p/q" into an exact Fraction."""
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise InputError("malformed rational %r (expected \"p\" or \"p/q\")" % (text,))
     return Fraction(text)
+
+
+def _is_natural(x):
+    """True for a nonnegative JSON integer (booleans excluded)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def rational_str(q):
@@ -50,7 +55,7 @@ def parse_points(text):
     if space not in (AFFINE, PROJECTIVE):
         raise InputError("space must be \"affine\" or \"projective\", got %r" % (space,))
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_natural(dim):
         raise InputError("dim must be a nonnegative integer, got %r" % (dim,))
     rows = doc.get("points")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
@@ -107,9 +112,11 @@ def parse_basis(text):
     if order not in ("lex", "deglex", "degrevlex"):
         raise InputError("unknown order %r" % (order,))
     arity = doc.get("variables")
-    if not isinstance(arity, int) or arity < 0:
+    if not _is_natural(arity):
         raise InputError("variables must be a nonnegative integer")
     first_var = doc.get("first_variable", 1)
+    if not _is_natural(first_var) or first_var == 0:
+        raise InputError("first_variable must be a positive integer, got %r" % (first_var,))
     elements = []
     for raw in doc.get("basis", []):
         terms = []
@@ -117,7 +124,7 @@ def parse_basis(text):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise InputError("malformed term %r" % (pair,))
             exp, coeff = pair
-            if not (isinstance(exp, list) and all(isinstance(x, int) and x >= 0 for x in exp)):
+            if not (isinstance(exp, list) and all(_is_natural(x) for x in exp)):
                 raise InputError("malformed exponent vector %r" % (exp,))
             if len(exp) != arity:
                 raise InputError("exponent vector %r does not match %d variables" % (exp, arity))

@@ -1,122 +1,88 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact incremental echelon kernel over the rationals.
 
-Everything here works on Fraction entries; there is no floating point, so
-rank and solvability are exact predicates.  Pivoting picks the first nonzero
-entry in column order, which is deterministic and sufficient over Q.
+An Echelon holds the vectors added to it so far in semi-echelon form.  A
+vector is reduced once against the stored rows; if something is left, it is
+normalized to 1 at its first nonzero entry (the pivot) and stored as a new
+row, otherwise its dependency coefficients over the stored vectors are
+recovered by back-substitution.  Nothing is ever re-solved from scratch, so
+a sequence of k additions of length-L vectors costs O(k * rank * L).
+
+Entries are Fractions (ints are accepted); there is no floating point, so
+rank and dependency are exact predicates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-
-class Matrix:
-    """Immutable dense matrix of Fractions, stored row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = tuple(Fraction(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise ValueError(
-                "expected %d entries for a %dx%d matrix, got %d"
-                % (rows * cols, rows, cols, len(entries))
-            )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        if not rows:
-            return cls(0, 0, ())
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("rows have unequal lengths")
-        return cls(len(rows), ncols, [x for r in rows for x in r])
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(ij)
-        return self.entries[i * self.cols + j]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return "Matrix(%d, %d, %r)" % (self.rows, self.cols, list(self.entries))
+_ONE = Fraction(1)
 
 
-def rref(m):
-    """Reduced row echelon form of m.
+class Echelon:
+    """Incremental row echelon form of a growing list of equal-length
+    vectors.
 
-    Returns (echelon matrix, ordered list of pivot columns).
+    Stored row k is (pivot, row, inverse, factors): row is the k-th stored
+    vector minus sum(factors[i] * row_i for i < k), scaled by inverse so
+    that row[pivot] == 1.  Every row is zero at the pivots before its own.
     """
-    a = [list(m.row(i)) for i in range(m.rows)]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        pr = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(m.rows, m.cols, [x for row in a for x in row]), tuple(pivots)
 
+    def __init__(self):
+        self._rows = []
+        self._length = None  # fixed by the first vector added
 
-def rank(m):
-    """Exact rank over Q."""
-    return len(rref(m)[1])
+    @property
+    def rank(self):
+        """Number of stored (linearly independent) vectors."""
+        return len(self._rows)
 
-
-def solve(a, b):
-    """Solve a x = b exactly.
-
-    Returns (solution, unique) where solution is a tuple of Fractions and
-    unique says whether a has full column rank, or None if the system is
-    inconsistent.  Free variables are set to zero.
-    """
-    b = [Fraction(x) for x in b]
-    if a.rows != len(b):
-        raise ValueError("right-hand side has length %d, expected %d" % (len(b), a.rows))
-    aug_entries = []
-    for i in range(a.rows):
-        aug_entries.extend(a.row(i))
-        aug_entries.append(b[i])
-    aug = Matrix(a.rows, a.cols + 1, aug_entries)
-    red, pivots = rref(aug)
-    if a.cols in pivots:
+    def add(self, vec):
+        """Store vec if it is independent of the stored vectors and return
+        None; otherwise store nothing and return its coefficients over the
+        stored vectors, in the order they were stored."""
+        rem, factors = self._reduce(vec)
+        if self._length is None:
+            self._length = len(rem)
+        pivot = next((i for i, x in enumerate(rem) if x), None)
+        if pivot is None:
+            return self._back_substitute(factors)
+        inverse = _ONE / rem[pivot]
+        self._rows.append((pivot, [x * inverse for x in rem], inverse, factors))
         return None
-    x = [Fraction(0)] * a.cols
-    for i, c in enumerate(pivots):
-        x[c] = red[i, a.cols]
-    return tuple(x), len(pivots) == a.cols
+
+    def query(self, vec):
+        """Coefficients of vec over the stored vectors, or None if vec is
+        independent of them; nothing is stored."""
+        rem, factors = self._reduce(vec)
+        if any(rem):
+            return None
+        return self._back_substitute(factors)
+
+    def _reduce(self, vec):
+        """Subtract from vec its projection on every stored row, in order;
+        returns the remainder and the multiple taken of each row."""
+        rem = list(vec)
+        if self._length is not None and len(rem) != self._length:
+            raise ValueError("vector has length %d, expected %d" % (len(rem), self._length))
+        factors = []
+        for pivot, row, _, _ in self._rows:
+            f = rem[pivot]
+            if f:
+                rem = [x - f * y if y else x for x, y in zip(rem, row)]
+            factors.append(f)
+        return rem, factors
+
+    def _back_substitute(self, factors):
+        """Rewrite sum(factors[k] * row_k) over the stored vectors."""
+        g = list(factors)
+        coeffs = [Fraction(0)] * len(g)
+        for k in range(len(g) - 1, -1, -1):
+            if not g[k]:
+                continue
+            _, _, inverse, row_factors = self._rows[k]
+            c = g[k] * inverse
+            coeffs[k] = c
+            for i, f in enumerate(row_factors):
+                if f:
+                    g[i] -= c * f
+        return coeffs

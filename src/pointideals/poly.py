@@ -208,6 +208,18 @@ def leading(p, order):
     return p.leading(order)
 
 
+_ONE = Fraction(1)
+
+
+def monomial_value(exp, point):
+    """Exact value of X^exp at a point whose coordinates are Fractions."""
+    v = _ONE
+    for x, e in zip(point, exp):
+        if e:
+            v *= x ** e
+    return v
+
+
 def evaluate(p, point):
     """Exact evaluation of p at a vector of rationals."""
     if len(point) != p.arity:
@@ -215,11 +227,7 @@ def evaluate(p, point):
     point = [Fraction(x) for x in point]
     total = Fraction(0)
     for exp, coeff in p.terms.items():
-        v = coeff
-        for x, e in zip(point, exp):
-            if e:
-                v *= x ** e
-        total += v
+        total += coeff * monomial_value(exp, point)
     return total
 
 

@@ -12,10 +12,8 @@ Hilbert-function match via evaluation-matrix ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
-from . import linalg
 from .affine import (
     AFFINE,
     PROJECTIVE,
@@ -26,6 +24,7 @@ from .affine import (
     canonical_element,
     staircase_of,
 )
+from .linalg import Echelon
 from .poly import (
     DEGLEX,
     LEX,
@@ -34,6 +33,7 @@ from .poly import (
     evaluate,
     exp_divides,
     homogenize,
+    monomial_value,
     monomials_of_degree,
     normal_form,
     order_key,
@@ -118,16 +118,15 @@ def cone_basis(chart, trace=None):
             high = sorted(
                 {e for poly in [fa] + fy for e in poly.terms if total_degree(e) > target}
             )
-            mat = linalg.Matrix(
-                len(high), len(ys), [fy[j].terms.get(e, 0) for e in high for j in range(len(ys))]
-            )
-            rhs = [-fa.terms.get(e, Fraction(0)) for e in high]
-            sol = linalg.solve(mat, rhs)
-            if sol is not None:
+            # a column dependent on earlier ones gets coefficient 0
+            ech = Echelon()
+            kept = [f for f in fy if ech.add([f.terms.get(e, 0) for e in high]) is None]
+            coeffs = ech.query([-fa.terms.get(e, 0) for e in high])
+            if coeffs is not None:
                 g = fa
-                for j, c in enumerate(sol[0]):
+                for f, c in zip(kept, coeffs):
                     if c:
-                        g = g + fy[j] * c
+                        g = g + f * c
                 found_r = r
                 break
         if g is not None:
@@ -247,18 +246,19 @@ def merge(gb0, gb1, s):
             for poly in f0s + f1s:
                 support.update(poly.terms)
             support = sorted(support)
-            entries = []
-            for e in support:
-                entries.extend(p.terms.get(e, Fraction(0)) for p in f1s)
-                entries.extend(-p.terms.get(e, Fraction(0)) for p in f0s)
-            mat = linalg.Matrix(len(support), len(etas) + len(deltas), entries)
-            rhs = [target.terms.get(e, Fraction(0)) for e in support]
-            sol = linalg.solve(mat, rhs)
-            if sol is not None:
+            # columns: the f1s, then the negated f0s; a column dependent on
+            # earlier ones gets coefficient 0
+            ech = Echelon()
+            for p in f1s:
+                ech.add([p.terms.get(e, 0) for e in support])
+            n1 = ech.rank
+            kept = [p for p in f0s if ech.add([-p.terms.get(e, 0) for e in support]) is None]
+            coeffs = ech.query([target.terms.get(e, 0) for e in support])
+            if coeffs is not None:
                 fg = f0g
-                for j, c in enumerate(sol[0][len(etas) :]):
+                for p, c in zip(kept, coeffs[n1:]):
                     if c:
-                        fg = fg + f0s[j] * c
+                        fg = fg + p * c
                 elements.append(fg)
                 found.append(gamma)
         counts[d] = sum(
@@ -364,15 +364,10 @@ def hilbert_function(pointset, d):
     if d < 0:
         raise ValueError("degree must be nonnegative")
     monos = list(monomials_of_degree(pointset.dimension + 1, d))
-    entries = []
+    ech = Echelon()
     for p in pointset.points:
-        for e in monos:
-            v = Fraction(1)
-            for x, k in zip(p, e):
-                if k:
-                    v *= x ** k
-            entries.append(v)
-    return linalg.rank(linalg.Matrix(len(pointset.points), len(monos), entries))
+        ech.add([monomial_value(e, p) for e in monos])
+    return ech.rank
 
 
 @dataclass(frozen=True)

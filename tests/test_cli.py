@@ -147,6 +147,15 @@ def test_malformed_input_exits_2(write, capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("command", ["staircase", "hilbert"])
+def test_negative_degree_cap_exits_2(write, capsys, command):
+    points = write("p.json", P1_THREE)
+    code, out, err = run(capsys, command, points, "--degree-cap", "-1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and "degree-cap" in err
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "gb", str(tmp_path / "nope.json"))
     assert code == EXIT_INPUT

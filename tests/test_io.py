@@ -25,7 +25,7 @@ def test_parse_rational_forms():
     assert parse_rational(4) == 4
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "1.5", "a", "1/-2", None, [1]])
+@pytest.mark.parametrize("bad", ["", "1/0", "1.5", "a", "1/-2", None, [1], True])
 def test_parse_rational_rejects_malformed(bad):
     with pytest.raises(InputError):
         parse_rational(bad)
@@ -59,6 +59,7 @@ def test_parse_points_roundtrip():
         '{"space":"projective","dim":1,"points":[["0","0"]]}',
         '{"space":"projective","dim":1,"points":[["1","2"],["2","4"]]}',
         '{"space":"affine","dim":1,"points":"nope"}',
+        '{"space":"affine","dim":true,"points":[["1"]]}',
     ],
 )
 def test_parse_points_rejects_malformed(text):
@@ -98,6 +99,9 @@ def test_basis_terms_are_sorted_decreasing():
         '{"order":"deglex","variables":2,"basis":[[[[1],"1"]]]}',
         '{"order":"deglex","variables":2,"basis":[[[[1,-1],"1"]]]}',
         '{"order":"deglex","variables":2,"basis":[["oops"]]}',
+        '{"order":"deglex","variables":true,"basis":[[[[1],"1"]]]}',
+        '{"order":"deglex","variables":2,"basis":[[[[true,0],"1"]]]}',
+        '{"order":"deglex","variables":2,"first_variable":"x","basis":[]}',
     ],
 )
 def test_parse_basis_rejects_malformed(text):

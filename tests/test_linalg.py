@@ -1,4 +1,5 @@
-"""Tests for exact rational row reduction and linear solving."""
+"""Tests for the incremental exact echelon kernel, against a dense
+Gauss-Jordan reference."""
 
 from fractions import Fraction
 
@@ -6,64 +7,85 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointideals.linalg import Matrix, rank, rref, solve
+from helpers import reference_solve, rref
+from pointideals.linalg import Echelon
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 
 
 def matrices(max_dim=4):
+    """Lists of equal-length rows."""
     return st.integers(1, max_dim).flatmap(
         lambda r: st.integers(1, max_dim).flatmap(
-            lambda c: st.lists(fractions, min_size=r * c, max_size=r * c).map(
-                lambda e: Matrix(r, c, e)
-            )
+            lambda c: st.lists(st.lists(fractions, min_size=c, max_size=c), min_size=r, max_size=r)
         )
     )
 
 
-def test_from_rows_and_indexing():
-    m = Matrix.from_rows([[1, 2], [3, 4]])
-    assert m.rows == 2 and m.cols == 2
-    assert m[1, 0] == 3
-    assert m.row(0) == (Fraction(1), Fraction(2))
+def rank(rows):
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    return ech.rank
+
+
+def solve(rows, b):
+    """Solve rows * x = b as cone_basis and merge do: add the columns in
+    order, then query b; a column dependent on earlier ones gets 0."""
+    ech = Echelon()
+    independent = [ech.add(col) is None for col in zip(*rows)]
+    coeffs = ech.query(b)
+    if coeffs is None:
+        return None
+    stored = iter(coeffs)
+    return tuple(next(stored) if ind else Fraction(0) for ind in independent)
 
 
 def test_rref_known():
-    m = Matrix.from_rows([[1, 2, 3], [2, 4, 7]])
-    r, pivots = rref(m)
+    r, pivots = rref([[1, 2, 3], [2, 4, 7]])
     assert pivots == (0, 2)
-    assert r.row(0) == (1, 2, 0)
-    assert r.row(1) == (0, 0, 1)
+    assert r == [[1, 2, 0], [0, 0, 1]]
 
 
 def test_rank_examples():
-    assert rank(Matrix.from_rows([[1, 2], [2, 4]])) == 1
-    assert rank(Matrix.from_rows([[1, 0], [0, 1]])) == 2
-    assert rank(Matrix(2, 2, [0, 0, 0, 0])) == 0
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[1, 0], [0, 1]]) == 2
+    assert rank([[0, 0], [0, 0]]) == 0
+
+
+def test_add_returns_dependency_coefficients():
+    ech = Echelon()
+    assert ech.add([1, 1, 0]) is None
+    assert ech.add([0, 1, 1]) is None
+    assert ech.add([2, 3, 1]) == [2, 1]
+    assert ech.add([0, 0, 0]) == [0, 0]
+    assert ech.query([1, 2, 1]) == [1, 1]
+    assert ech.query([0, 0, 1]) is None
+    assert ech.rank == 2
+    assert ech.add([0, 0, 1]) is None
+    assert ech.query([1, 0, 0]) == [1, -1, 1]
 
 
 def test_solve_unique():
-    a = Matrix.from_rows([[2, 0], [0, 3]])
-    sol, unique = solve(a, [4, 9])
-    assert sol == (2, 3)
-    assert unique
+    assert solve([[2, 0], [0, 3]], [4, 9]) == (2, 3)
 
 
 def test_solve_underdetermined_sets_free_vars_to_zero():
-    a = Matrix.from_rows([[1, 1]])
-    sol, unique = solve(a, [5])
-    assert not unique
-    assert sol == (5, 0)
+    assert solve([[1, 1]], [5]) == (5, 0)
+    assert solve([[0, 1, 1]], [5]) == (0, 5, 0)
 
 
 def test_solve_inconsistent():
-    a = Matrix.from_rows([[1, 1], [1, 1]])
-    assert solve(a, [1, 2]) is None
+    assert solve([[1, 1], [1, 1]], [1, 2]) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(Matrix.from_rows([[1]]), [1, 2])
+        solve([[1]], [1, 2])
+    ech = Echelon()
+    ech.add([0, 0])
+    with pytest.raises(ValueError):
+        ech.add([1, 2, 3])
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,18 +93,32 @@ def test_solve_dimension_mismatch():
 def test_rref_is_idempotent_and_rank_preserving(m):
     r, pivots = rref(m)
     r2, pivots2 = rref(r)
-    assert r2.entries == r.entries
+    assert r2 == r
     assert pivots2 == pivots
     assert rank(m) == len(pivots)
+    assert rank(list(zip(*m))) == len(pivots)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.data())
 def test_solve_satisfies_system(m, data):
-    x = data.draw(st.lists(fractions, min_size=m.cols, max_size=m.cols))
-    b = [sum(m[i, j] * x[j] for j in range(m.cols)) for i in range(m.rows)]
-    got = solve(m, b)
-    assert got is not None
-    sol = got[0]
-    for i in range(m.rows):
-        assert sum(m[i, j] * sol[j] for j in range(m.cols)) == b[i]
+    cols = len(m[0])
+    x = data.draw(st.lists(fractions, min_size=cols, max_size=cols))
+    b = [sum(row[j] * x[j] for j in range(cols)) for row in m]
+    sol = solve(m, b)
+    assert sol is not None
+    for row, y in zip(m, b):
+        assert sum(row[j] * sol[j] for j in range(cols)) == y
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(5), st.data())
+def test_kernel_matches_reference(m, data):
+    cols = len(m[0])
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(fractions, min_size=cols, max_size=cols))
+        b = [sum(row[j] * x[j] for j in range(cols)) for row in m]
+    else:
+        b = data.draw(st.lists(fractions, min_size=len(m), max_size=len(m)))
+    assert rank(m) == len(rref(m)[1])
+    assert solve(m, b) == reference_solve(m, b)
