@@ -149,12 +149,11 @@ def buchberger_moeller(pointset, order):
         raise ValueError("buchberger_moeller needs an affine point set")
     n = pointset.dimension
     pts = pointset.points
+    origin = (0,) * n
     if not pts:
-        origin = (0,) * n
         gb = GroebnerBasis(order, (Polynomial.constant(n, 1),))
         return gb, Staircase(n, (origin,)), []
     key = order_key(order)
-    origin = (0,) * n
     heap = [(key(origin), origin)]
     seen = {origin}
     standard = []

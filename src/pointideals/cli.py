@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: gb, staircase, axes, hilbert, verify, compare-orders, render.
-Exit codes: 0 success, 1 verification failure, 2 input or parse error.
+Exit codes: 0 success, 1 verification failure, 2 input or parse error, 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 
 from . import io
 from .affine import AFFINE, PROJECTIVE, Staircase, buchberger_moeller, staircase_of
@@ -16,7 +17,7 @@ from .projective import (
     affine_certify,
     axis_census,
     certify,
-    hilbert_function,
+    hilbert_values,
     projective_gb,
     split_charts,
 )
@@ -25,6 +26,7 @@ from .render import RenderError, render_staircase
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _read(path):
@@ -72,8 +74,7 @@ def _emit(args, doc, text_lines):
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-def cmd_gb(args):
-    ps = io.parse_points(_read(args.input))
+def cmd_gb(args, ps):
     gb = _compute_gb(ps, args.order)
     first_var = _first_var(ps)
     if args.verify:
@@ -87,8 +88,7 @@ def cmd_gb(args):
     return EXIT_OK
 
 
-def cmd_staircase(args):
-    ps = io.parse_points(_read(args.input))
+def cmd_staircase(args, ps):
     gb = _compute_gb(ps, args.order)
     stair = _staircase(gb, _ambient_arity(ps))
     cap = args.degree_cap if args.degree_cap is not None else stair.max_corner_degree() + 1
@@ -115,10 +115,7 @@ def cmd_staircase(args):
     return EXIT_OK
 
 
-def cmd_axes(args):
-    ps = io.parse_points(_read(args.input))
-    if ps.mode != PROJECTIVE:
-        raise io.InputError("the axes command needs a projective point set")
+def cmd_axes(args, ps):
     gb = projective_gb(ps)
     stair = _staircase(gb, ps.dimension + 1)
     census = axis_census(stair)
@@ -147,20 +144,16 @@ def cmd_axes(args):
     return EXIT_OK if matches else EXIT_VERIFY
 
 
-def cmd_hilbert(args):
-    ps = io.parse_points(_read(args.input))
-    if ps.mode != PROJECTIVE:
-        raise io.InputError("the hilbert command needs a projective point set")
+def cmd_hilbert(args, ps):
     cap = args.degree_cap if args.degree_cap is not None else len(ps.points) + 1
-    values = [hilbert_function(ps, d) for d in range(cap + 1)]
+    values = list(islice(hilbert_values(ps), cap + 1))
     doc = {"space": ps.mode, "dim": ps.dimension, "degree_cap": cap, "values": values}
     lines = ["d=%d: %d" % (d, v) for d, v in enumerate(values)]
     _emit(args, doc, lines)
     return EXIT_OK
 
 
-def cmd_verify(args):
-    ps = io.parse_points(_read(args.input))
+def cmd_verify(args, ps):
     gb, _ = io.parse_basis(_read(args.basis))
     if ps.mode == AFFINE:
         if gb.order not in (LEX, DEGLEX):
@@ -177,18 +170,12 @@ def cmd_verify(args):
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def cmd_compare_orders(args):
-    ps = io.parse_points(_read(args.input))
-    if ps.mode != PROJECTIVE:
-        raise io.InputError("the compare-orders command needs a projective point set")
+def cmd_compare_orders(args, ps):
     m = ps.dimension + 1
     gb_deglex = projective_gb(ps)
-    if gb_deglex.is_zero_ideal():
-        stair_revlex = Staircase(m, ())
-    else:
-        stair_revlex = staircase_of(buchberger(gb_deglex.elements, DEGREVLEX))
+    gb_revlex = gb_deglex if gb_deglex.is_zero_ideal() else buchberger(gb_deglex.elements, DEGREVLEX)
     census_deglex = axis_census(_staircase(gb_deglex, m))
-    census_revlex = axis_census(stair_revlex)
+    census_revlex = axis_census(_staircase(gb_revlex, m))
     matches = census_deglex.total == census_revlex.total == len(ps.points)
     doc = {
         "space": ps.mode,
@@ -214,18 +201,14 @@ def cmd_compare_orders(args):
     return EXIT_OK if matches else EXIT_VERIFY
 
 
-def cmd_render(args):
-    ps = io.parse_points(_read(args.input))
+def cmd_render(args, ps):
     gb = _compute_gb(ps, args.order)
     stair = _staircase(gb, _ambient_arity(ps))
     try:
         picture = render_staircase(stair, first_var=_first_var(ps))
     except RenderError as e:
         raise io.InputError(str(e)) from e
-    if args.output == "json":
-        sys.stdout.write(io.dumps({"render": picture}))
-    else:
-        sys.stdout.write(picture)
+    _emit(args, {"render": picture}, [picture.rstrip("\n")])
     return EXIT_OK
 
 
@@ -247,7 +230,6 @@ def _build_parser():
         p.add_argument("--degree-cap", type=int, default=None)
         p.add_argument("--render", action="store_true")
         p.set_defaults(func=func)
-        return p
 
     add("gb", cmd_gb)
     add("staircase", cmd_staircase)
@@ -269,10 +251,16 @@ def main(argv=None):
         print("--degree-cap must be nonnegative, got %d" % args.degree_cap, file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        ps = io.parse_points(_read(args.input))
+        if args.command in ("axes", "hilbert", "compare-orders") and ps.mode != PROJECTIVE:
+            raise io.InputError("the %s command needs a projective point set" % args.command)
+        return args.func(args, ps)
     except io.InputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
+    except (RuntimeError, ArithmeticError) as e:
+        print("internal error: %s" % e, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main():

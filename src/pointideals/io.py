@@ -12,7 +12,7 @@ import json
 import re
 from fractions import Fraction
 
-from .affine import AFFINE, PROJECTIVE, PointSet, affine_points, projective_points
+from .affine import AFFINE, PROJECTIVE, affine_points, projective_points
 from .poly import GroebnerBasis, Polynomial, order_key
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -36,6 +36,16 @@ def _is_natural(x):
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+def _load_object(text, what):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError("invalid JSON: %s" % e) from e
+    if not isinstance(doc, dict):
+        raise InputError("%s document must be a JSON object" % what)
+    return doc
+
+
 def rational_str(q):
     return str(Fraction(q))
 
@@ -45,12 +55,7 @@ def parse_points(text):
 
     Schema: {"space": "affine"|"projective", "dim": n, "points": [[...], ...]}.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError("invalid JSON: %s" % e) from e
-    if not isinstance(doc, dict):
-        raise InputError("point document must be a JSON object")
+    doc = _load_object(text, "point")
     space = doc.get("space")
     if space not in (AFFINE, PROJECTIVE):
         raise InputError("space must be \"affine\" or \"projective\", got %r" % (space,))
@@ -102,12 +107,7 @@ def basis_doc(gb, first_var=1, extra=None):
 
 def parse_basis(text):
     """Parse a basis document back into (GroebnerBasis, first_var)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError("invalid JSON: %s" % e) from e
-    if not isinstance(doc, dict):
-        raise InputError("basis document must be a JSON object")
+    doc = _load_object(text, "basis")
     order = doc.get("order")
     if order not in ("lex", "deglex", "degrevlex"):
         raise InputError("unknown order %r" % (order,))

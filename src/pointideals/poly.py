@@ -9,6 +9,7 @@ variable (the last index) first.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,14 +58,15 @@ def monomials_of_degree(arity, d):
 # term orders
 
 def order_key(order):
-    """Sort key realizing the order: key(a) < key(b) iff X^a < X^b."""
+    """Sort key realizing the order: key(a) < key(b) iff X^a < X^b.  Keys are
+    flat tuples of integers, so negating every entry reverses the order."""
     if order == LEX:
-        return lambda e: tuple(reversed(e))
+        return lambda e: e[::-1]
     if order == DEGLEX:
-        return lambda e: (sum(e), tuple(reversed(e)))
+        return lambda e: (sum(e),) + e[::-1]
     if order == DEGREVLEX:
         # ties broken at the smallest variable: larger exponent there loses
-        return lambda e: (sum(e), tuple(-x for x in e))
+        return lambda e: (sum(e),) + tuple(-x for x in e)
     raise ValueError("unknown term order %r" % (order,))
 
 
@@ -203,11 +205,6 @@ class Polynomial:
         return poly_str(self)
 
 
-def leading(p, order):
-    """Leading (exponent, coefficient) of p under order."""
-    return p.leading(order)
-
-
 _ONE = Fraction(1)
 
 
@@ -264,26 +261,40 @@ def normal_form(f, divisors, order):
     monomial of the running remainder, by the first applicable divisor in
     list order.  No monomial of the result is divisible by any divisor's
     leading monomial.
+
+    A reduction at exp only adds terms below exp, so pending monomials are
+    popped from a heap largest first and each one is final when popped.
     """
-    divisors = list(divisors)
-    if any(g.is_zero() for g in divisors):
-        raise ValueError("zero divisor in reduction list")
-    leads = [g.leading(order) for g in divisors]
+    reducers = []  # (leading exponent, tail divided by the leading coefficient)
+    for g in divisors:
+        if g.arity != f.arity:
+            raise ValueError("arity mismatch: %d vs %d" % (f.arity, g.arity))
+        le, lc = g.leading(order)  # raises for a zero divisor
+        reducers.append((le, [(e, c / lc) for e, c in g.terms.items() if e != le]))
     key = order_key(order)
-    r = f
-    while True:
-        step = None
-        for exp in sorted(r.terms, key=key, reverse=True):
-            for (le, lc), g in zip(leads, divisors):
-                if exp_divides(le, exp):
-                    step = (exp, le, lc, g)
-                    break
-            if step:
+    pending = dict(f.terms)  # an entry may fall to 0; it is still on the heap
+    heap = [(tuple(-x for x in key(e)), e) for e in pending]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        exp = heapq.heappop(heap)[1]
+        c = pending.pop(exp)
+        if not c:
+            continue
+        for le, tail in reducers:
+            if exp_divides(le, exp):
+                shift = exp_sub(exp, le)
+                for e, t in tail:
+                    e = exp_add(e, shift)
+                    if e in pending:
+                        pending[e] -= c * t
+                    else:
+                        pending[e] = -c * t
+                        heapq.heappush(heap, (tuple(-x for x in key(e)), e))
                 break
-        if step is None:
-            return r
-        exp, le, lc, g = step
-        r = r - g.times(exp_sub(exp, le), r.terms[exp] / lc)
+        else:
+            remainder[exp] = c
+    return Polynomial(f.arity, remainder)
 
 
 def s_polynomial(f, g, order):
@@ -343,8 +354,8 @@ def _autoreduce(basis, order):
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
+        # minimality keeps each leading term, so the order is kept too
         reduced.append(normal_form(g, others, order).monic(order) if others else g)
-    reduced.sort(key=lambda g: key(g.leading(order)[0]))
     return tuple(reduced)
 
 
@@ -363,24 +374,20 @@ def buchberger(gens, order):
         g = g.monic(order)
         if g not in basis:
             basis.append(g)
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    leads = [g.leading(order)[0] for g in basis]
+    pairs = [(key(exp_lcm(leads[i], leads[j])), i, j) for j in range(len(basis)) for i in range(j)]
+    heapq.heapify(pairs)
     while pairs:
-        def pair_key(p):
-            i, j = p
-            l = exp_lcm(basis[i].leading(order)[0], basis[j].leading(order)[0])
-            return (key(l), i, j)
-
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        ei = basis[i].leading(order)[0]
-        ej = basis[j].leading(order)[0]
-        if exp_lcm(ei, ej) == exp_add(ei, ej):
+        _, i, j = heapq.heappop(pairs)
+        if exp_lcm(leads[i], leads[j]) == exp_add(leads[i], leads[j]):
             continue
         r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
         if not r.is_zero():
             basis.append(r.monic(order))
+            leads.append(r.leading(order)[0])
             k = len(basis) - 1
-            pairs.update((i2, k) for i2 in range(k))
+            for i2 in range(k):
+                heapq.heappush(pairs, (key(exp_lcm(leads[i2], leads[k])), i2, k))
     return GroebnerBasis(order, _autoreduce(basis, order))
 
 

@@ -12,12 +12,11 @@ Hilbert-function match via evaluation-matrix ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product, repeat
 
 from .affine import (
     AFFINE,
     PROJECTIVE,
-    PointSet,
     Staircase,
     affine_points,
     buchberger_moeller,
@@ -31,7 +30,9 @@ from .poly import (
     GroebnerBasis,
     Polynomial,
     evaluate,
+    exp_add,
     exp_divides,
+    exp_lcm,
     homogenize,
     monomial_value,
     monomials_of_degree,
@@ -162,7 +163,7 @@ def lift_infinite_part(gb_sub):
     the result is again a reduced deglex basis in the enlarged ring."""
     if gb_sub.is_zero_ideal():
         # zero ideal of the sub-space: the hyperplane itself remains
-        raise ValueError("lift of a zero ideal needs an explicit arity; wrap it first")
+        raise ValueError("lift of a zero ideal needs an explicit arity")
     arity = gb_sub.arity + 1
     if gb_sub.is_unit():
         return unit_basis(arity)
@@ -172,13 +173,6 @@ def lift_infinite_part(gb_sub):
     key = order_key(DEGLEX)
     elements.sort(key=lambda h: key(h.leading(DEGLEX)[0]))
     return GroebnerBasis(DEGLEX, tuple(elements))
-
-
-def _lift(gb_sub, sub_arity):
-    """lift_infinite_part that also handles the zero ideal (whole space)."""
-    if gb_sub.is_zero_ideal():
-        return GroebnerBasis(DEGLEX, (Polynomial.variable(sub_arity + 1, 0),))
-    return lift_infinite_part(gb_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +215,7 @@ def merge(gb0, gb1, s):
     cache1 = {}
     found = []
     elements = []
-    counts = {}
+    prev = None  # standard-monomial count of the previous degree
     d = 0
     while True:
         monos = sorted(monomials_of_degree(m, d), key=key)
@@ -261,11 +255,8 @@ def merge(gb0, gb1, s):
                         fg = fg + p * c
                 elements.append(fg)
                 found.append(gamma)
-        counts[d] = sum(
-            1 for e in monos if not any(exp_divides(b, e) for b in found)
-        )
-        if d >= 1 and counts[d - 1] == counts[d]:
-            c = counts[d]
+        c = sum(1 for e in monos if not any(exp_divides(b, e) for b in found))
+        if c == prev:
             max_corner = max((total_degree(b) for b in found), default=0)
             if max_corner <= d - 1 and c <= d - 1:
                 if c != s:
@@ -274,6 +265,7 @@ def merge(gb0, gb1, s):
                         "expected %d; the merged point sets are inconsistent" % (c, s)
                     )
                 break
+        prev = c
         d += 1
         if d > 4 * s + 8:
             raise RuntimeError("merge failed to stabilize by degree %d" % d)
@@ -298,7 +290,10 @@ def projective_gb(pointset):
     count = 0
     for j in range(n + 1, 0, -1):
         arity = n + 2 - j
-        gb0 = _lift(current, arity - 1)
+        if current.is_zero_ideal():  # the ideal of all of {X1 = 0} is (X1)
+            gb0 = GroebnerBasis(DEGLEX, (Polynomial.variable(arity, 0),))
+        else:
+            gb0 = lift_infinite_part(current)
         chart = charts[j - 1]
         if chart.points:
             gb1 = cone_basis(chart)
@@ -370,94 +365,62 @@ def hilbert_function(pointset, d):
     return ech.rank
 
 
+def hilbert_values(pointset):
+    """Yield the Hilbert function at d = 0, 1, 2, ...  It never decreases and
+    never exceeds the point count s, so once it reaches s no rank is computed."""
+    for d in count():
+        value = hilbert_function(pointset, d)
+        yield value
+        if value == len(pointset.points):
+            yield from repeat(value)
+
+
 @dataclass(frozen=True)
 class CertReport:
     passed: bool
     reasons: tuple
 
 
-def certify(gb, pointset):
-    """Certificate that gb is the reduced deglex basis of the vanishing
-    ideal of the point set.
+def _kept_pairs(leads, order):
+    """Pairs (i, j), i < j, of pairwise non-dividing leading monomials in
+    increasing order of their lcm L(i, j), less the coprime ones (product
+    criterion) and those where some le_k divides L(i, j) and L(i, k), L(j, k)
+    lie strictly below L(i, j) (chain criterion).
 
-    Checks: every element homogeneous, monic and vanishing at every point;
-    autoreducedness; every S-polynomial reduces to zero; and the staircase
-    standard-monomial counts match the Hilbert function degree by degree
-    until both stabilize at the point count."""
-    reasons = []
-    s = len(pointset.points)
-    m = pointset.dimension + 1
+    Soundness, by induction on L(i, j), which the term order well-orders: the
+    elements are a Groebner basis iff every S(i, j) is a sum of c X^a g_l
+    with every X^a le_l < L(i, j) (Buchberger's criterion).  A pair reducing
+    to zero has such a sum by the division algorithm; so does a coprime
+    pair.  For a chain pair of monic elements, S(i, j) = L(i, j)/L(i, k) *
+    S(i, k) - L(i, j)/L(j, k) * S(j, k); both pairs on the right have a
+    smaller lcm, so have such sums by induction, and the monomial factors
+    keep every term of them below L(i, j).  So if every kept pair reduces to
+    zero, the elements are a Groebner basis, and then every S-polynomial
+    reduces to zero under any strategy."""
+    key = order_key(order)
+    pairs = sorted((key(exp_lcm(a, b)), i, j) for j, b in enumerate(leads) for i, a in enumerate(leads[:j]))
+    for _, i, j in pairs:
+        lcm = exp_lcm(leads[i], leads[j])
+        # k = i and k = j fail the test themselves, as L(i, j) = L(j, i)
+        if lcm != exp_add(leads[i], leads[j]) and not any(
+            exp_divides(c, lcm) and exp_lcm(leads[i], c) != lcm and exp_lcm(leads[j], c) != lcm
+            for c in leads
+        ):
+            yield i, j
+
+
+def _certify_core(gb, pointset, arity, order, homogeneous):
+    """Reasons from the checks certify and affine_certify share, in order."""
     elements = gb.elements
-    if elements and gb.arity != m:
-        reasons.append("basis arity %d does not match ambient %d" % (gb.arity, m))
-        return CertReport(False, tuple(reasons))
+    if elements and gb.arity != arity:
+        return ["basis arity %d does not match ambient %d" % (gb.arity, arity)]
+    reasons = []
     for idx, g in enumerate(elements):
         if g.is_zero():
             reasons.append("element %d is zero" % idx)
             continue
-        if not g.is_homogeneous():
+        if homogeneous and not g.is_homogeneous():
             reasons.append("element %d is not homogeneous: %s" % (idx, g))
-        if g.leading(DEGLEX)[1] != 1:
-            reasons.append("element %d is not monic" % idx)
-        for p in pointset.points:
-            if evaluate(g, p) != 0:
-                reasons.append("element %d does not vanish at %r" % (idx, [str(x) for x in p]))
-                break
-    for i, g in enumerate(elements):
-        for j, h in enumerate(elements):
-            if i == j:
-                continue
-            lh = h.leading(DEGLEX)[0]
-            if any(exp_divides(lh, e) for e in g.terms):
-                reasons.append("element %d is reducible by element %d" % (i, j))
-    if not reasons:
-        for i in range(len(elements)):
-            for j in range(i + 1, len(elements)):
-                r = normal_form(s_polynomial(elements[i], elements[j], DEGLEX), elements, DEGLEX)
-                if not r.is_zero():
-                    reasons.append("S-polynomial of elements %d and %d does not reduce to zero" % (i, j))
-    if not reasons:
-        if elements:
-            stair = staircase_of(gb)
-        else:
-            stair = Staircase(m, ())
-        d = 0
-        stable = 0
-        max_deg = stair.max_corner_degree()
-        while True:
-            std = stair.standard_count(d)
-            hf = hilbert_function(pointset, d) if pointset.points else 0
-            if std != hf:
-                reasons.append(
-                    "degree %d: %d standard monomials but Hilbert function %d" % (d, std, hf)
-                )
-                break
-            stable = stable + 1 if std == s else 0
-            if d >= max_deg + 1 and stable >= 2:
-                break
-            d += 1
-            if d > 4 * max(s, 1) + max_deg + 8:
-                reasons.append("Hilbert comparison failed to stabilize by degree %d" % d)
-                break
-    return CertReport(not reasons, tuple(reasons))
-
-
-def affine_certify(gb, pointset):
-    """Affine analogue of certify: vanishing, autoreducedness, Buchberger's
-    criterion, and a finite staircase complement of size equal to the point
-    count."""
-    reasons = []
-    s = len(pointset.points)
-    n = pointset.dimension
-    elements = gb.elements
-    if elements and gb.arity != n:
-        reasons.append("basis arity %d does not match ambient %d" % (gb.arity, n))
-        return CertReport(False, tuple(reasons))
-    order = gb.order
-    for idx, g in enumerate(elements):
-        if g.is_zero():
-            reasons.append("element %d is zero" % idx)
-            continue
         if g.leading(order)[1] != 1:
             reasons.append("element %d is not monic" % idx)
         for p in pointset.points:
@@ -471,14 +434,58 @@ def affine_certify(gb, pointset):
             lh = h.leading(order)[0]
             if any(exp_divides(lh, e) for e in g.terms):
                 reasons.append("element %d is reducible by element %d" % (i, j))
+
+    def fails(i, j):
+        return not normal_form(s_polynomial(elements[i], elements[j], order), elements, order).is_zero()
+
+    if reasons or not any(fails(i, j) for i, j in _kept_pairs([g.leading(order)[0] for g in elements], order)):
+        return reasons
+    # rejected: reduce every pair, so that the reasons name each failing one
+    return [
+        "S-polynomial of elements %d and %d does not reduce to zero" % (i, j)
+        for i in range(len(elements))
+        for j in range(i + 1, len(elements))
+        if fails(i, j)
+    ]
+
+
+def certify(gb, pointset):
+    """Certificate that gb is the reduced deglex basis of the vanishing
+    ideal of the point set.
+
+    Checks: every element homogeneous, monic and vanishing at every point;
+    autoreducedness; every S-polynomial reduces to zero; and the staircase
+    standard-monomial counts match the Hilbert function degree by degree
+    until both stabilize at the point count."""
+    s = len(pointset.points)
+    m = pointset.dimension + 1
+    reasons = _certify_core(gb, pointset, m, DEGLEX, homogeneous=True)
     if not reasons:
-        for i in range(len(elements)):
-            for j in range(i + 1, len(elements)):
-                r = normal_form(s_polynomial(elements[i], elements[j], order), elements, order)
-                if not r.is_zero():
-                    reasons.append("S-polynomial of elements %d and %d does not reduce to zero" % (i, j))
+        stair = staircase_of(gb) if gb.elements else Staircase(m, ())
+        max_deg = stair.max_corner_degree()
+        last = 4 * max(s, 1) + max_deg + 8
+        stable = 0
+        for d, hf in zip(range(last + 1), hilbert_values(pointset)):
+            std = stair.standard_count(d)
+            if std != hf:
+                reasons.append("degree %d: %d standard monomials but Hilbert function %d" % (d, std, hf))
+                break
+            stable = stable + 1 if std == s else 0
+            if d >= max_deg + 1 and stable >= 2:
+                break
+        else:
+            reasons.append("Hilbert comparison failed to stabilize by degree %d" % (last + 1))
+    return CertReport(not reasons, tuple(reasons))
+
+
+def affine_certify(gb, pointset):
+    """Affine analogue of certify: vanishing, autoreducedness, Buchberger's
+    criterion, and a finite staircase complement of size equal to the point
+    count."""
+    s = len(pointset.points)
+    reasons = _certify_core(gb, pointset, pointset.dimension, gb.order, homogeneous=False)
     if not reasons:
-        if not elements:
+        if not gb.elements:
             reasons.append("zero ideal cannot be the ideal of a finite point set")
         else:
             stair = staircase_of(gb)

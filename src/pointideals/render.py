@@ -55,7 +55,6 @@ def render_staircase(stair, first_var=1):
             out.append("%2d | %s%s" % (y, " ".join(cells), arrow))
         out.append("   +" + "-" * (2 * width))
         out.append("     " + " ".join(str(x) for x in range(width)))
-        out.append("rows: %s exponent, columns: %s exponent" % (names[1], names[0]))
     else:
         depth = bounds[2] + 2
         for z in range(depth):
@@ -64,7 +63,7 @@ def render_staircase(stair, first_var=1):
                 out.append("%2d | %s" % (y, " ".join(cells)))
             out.append("   +" + "-" * (2 * width))
             out.append("     " + " ".join(str(x) for x in range(width)))
-        out.append("rows: %s exponent, columns: %s exponent" % (names[1], names[0]))
+    out.append("rows: %s exponent, columns: %s exponent" % (names[1], names[0]))
     for j, count in enumerate(census.per_direction):
         out.append("axes along %s: %d" % (names[j], count))
     out.append("axes total: %d" % census.total)

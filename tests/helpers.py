@@ -1,12 +1,27 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and differential references for the
+test suite.
 
 Coordinates are rationals p/q with |p| <= 5 and q <= 3 so exact
-arithmetic stays cheap while still exercising non-integer points.
+arithmetic stays cheap while still exercising non-integer points.  The
+references are the straightforward versions of faster library code: a
+dense Gauss-Jordan rref, and the normal form and certificates that
+rebuild the remainder on every step and reduce every S-pair.
 """
 
 from fractions import Fraction
 
-from pointideals import affine_points, projective_points
+from pointideals import (
+    DEGLEX,
+    CertReport,
+    Staircase,
+    affine_points,
+    evaluate,
+    hilbert_function,
+    projective_points,
+    s_polynomial,
+    staircase_of,
+)
+from pointideals.poly import exp_divides, exp_sub, order_key
 
 
 def random_fraction(rng):
@@ -72,3 +87,154 @@ def reference_solve(rows, b):
     for i, c in enumerate(pivots):
         x[c] = red[i][ncols]
     return tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# the certificate and normal form as first written: the differential
+# references of the faster single-pass normal form and the pruned S-pair
+# certificate
+
+
+def reference_normal_form(f, divisors, order):
+    """Remainder of f on division by the listed divisors.
+
+    Deterministic strategy: always reduce the order-largest reducible
+    monomial of the running remainder, by the first applicable divisor in
+    list order.  No monomial of the result is divisible by any divisor's
+    leading monomial.
+    """
+    divisors = list(divisors)
+    if any(g.is_zero() for g in divisors):
+        raise ValueError("zero divisor in reduction list")
+    leads = [g.leading(order) for g in divisors]
+    key = order_key(order)
+    r = f
+    while True:
+        step = None
+        for exp in sorted(r.terms, key=key, reverse=True):
+            for (le, lc), g in zip(leads, divisors):
+                if exp_divides(le, exp):
+                    step = (exp, le, lc, g)
+                    break
+            if step:
+                break
+        if step is None:
+            return r
+        exp, le, lc, g = step
+        r = r - g.times(exp_sub(exp, le), r.terms[exp] / lc)
+
+
+def reference_certify(gb, pointset):
+    """Certificate that gb is the reduced deglex basis of the vanishing
+    ideal of the point set.
+
+    Checks: every element homogeneous, monic and vanishing at every point;
+    autoreducedness; every S-polynomial reduces to zero; and the staircase
+    standard-monomial counts match the Hilbert function degree by degree
+    until both stabilize at the point count."""
+    reasons = []
+    s = len(pointset.points)
+    m = pointset.dimension + 1
+    elements = gb.elements
+    if elements and gb.arity != m:
+        reasons.append("basis arity %d does not match ambient %d" % (gb.arity, m))
+        return CertReport(False, tuple(reasons))
+    for idx, g in enumerate(elements):
+        if g.is_zero():
+            reasons.append("element %d is zero" % idx)
+            continue
+        if not g.is_homogeneous():
+            reasons.append("element %d is not homogeneous: %s" % (idx, g))
+        if g.leading(DEGLEX)[1] != 1:
+            reasons.append("element %d is not monic" % idx)
+        for p in pointset.points:
+            if evaluate(g, p) != 0:
+                reasons.append("element %d does not vanish at %r" % (idx, [str(x) for x in p]))
+                break
+    for i, g in enumerate(elements):
+        for j, h in enumerate(elements):
+            if i == j:
+                continue
+            lh = h.leading(DEGLEX)[0]
+            if any(exp_divides(lh, e) for e in g.terms):
+                reasons.append("element %d is reducible by element %d" % (i, j))
+    if not reasons:
+        for i in range(len(elements)):
+            for j in range(i + 1, len(elements)):
+                r = reference_normal_form(s_polynomial(elements[i], elements[j], DEGLEX), elements, DEGLEX)
+                if not r.is_zero():
+                    reasons.append("S-polynomial of elements %d and %d does not reduce to zero" % (i, j))
+    if not reasons:
+        if elements:
+            stair = staircase_of(gb)
+        else:
+            stair = Staircase(m, ())
+        d = 0
+        stable = 0
+        max_deg = stair.max_corner_degree()
+        while True:
+            std = stair.standard_count(d)
+            hf = hilbert_function(pointset, d) if pointset.points else 0
+            if std != hf:
+                reasons.append(
+                    "degree %d: %d standard monomials but Hilbert function %d" % (d, std, hf)
+                )
+                break
+            stable = stable + 1 if std == s else 0
+            if d >= max_deg + 1 and stable >= 2:
+                break
+            d += 1
+            if d > 4 * max(s, 1) + max_deg + 8:
+                reasons.append("Hilbert comparison failed to stabilize by degree %d" % d)
+                break
+    return CertReport(not reasons, tuple(reasons))
+
+
+def reference_affine_certify(gb, pointset):
+    """Affine analogue of certify: vanishing, autoreducedness, Buchberger's
+    criterion, and a finite staircase complement of size equal to the point
+    count."""
+    reasons = []
+    s = len(pointset.points)
+    n = pointset.dimension
+    elements = gb.elements
+    if elements and gb.arity != n:
+        reasons.append("basis arity %d does not match ambient %d" % (gb.arity, n))
+        return CertReport(False, tuple(reasons))
+    order = gb.order
+    for idx, g in enumerate(elements):
+        if g.is_zero():
+            reasons.append("element %d is zero" % idx)
+            continue
+        if g.leading(order)[1] != 1:
+            reasons.append("element %d is not monic" % idx)
+        for p in pointset.points:
+            if evaluate(g, p) != 0:
+                reasons.append("element %d does not vanish at %r" % (idx, [str(x) for x in p]))
+                break
+    for i, g in enumerate(elements):
+        for j, h in enumerate(elements):
+            if i == j:
+                continue
+            lh = h.leading(order)[0]
+            if any(exp_divides(lh, e) for e in g.terms):
+                reasons.append("element %d is reducible by element %d" % (i, j))
+    if not reasons:
+        for i in range(len(elements)):
+            for j in range(i + 1, len(elements)):
+                r = reference_normal_form(s_polynomial(elements[i], elements[j], order), elements, order)
+                if not r.is_zero():
+                    reasons.append("S-polynomial of elements %d and %d does not reduce to zero" % (i, j))
+    if not reasons:
+        if not elements:
+            reasons.append("zero ideal cannot be the ideal of a finite point set")
+        else:
+            stair = staircase_of(gb)
+            try:
+                std = stair.standard_monomials()
+            except ValueError:
+                reasons.append("staircase complement is infinite")
+            else:
+                if len(std) != s:
+                    reasons.append("%d standard monomials but %d points" % (len(std), s))
+    return CertReport(not reasons, tuple(reasons))

@@ -158,7 +158,28 @@ def test_criterion_6_certificate_soundness(capsys):
         bad = GroebnerBasis(DEGLEX, gb.elements[:i] + (mutated,) + gb.elements[i + 1 :])
         if certify(bad, ps).passed:
             failures.append(("mutation accepted", k, poly_str(mutated)))
-    report(capsys, "criterion 6: certificate accepts computed bases, rejects 50 single-term mutations", failures)
+    # every basis with one element dropped, from the pool and from larger
+    # sets in P2 and P3; many pass every check before the S-pairs, so they
+    # gate the pruned S-pair stage
+    big_rng = random.Random(6060)
+    big = [random_projective(big_rng, big_rng.randint(2, 3), big_rng.randint(5, 9)) for _ in range(8)]
+    dropped = spair_rejects = 0
+    for idx, (gb, ps) in enumerate(pool + [(projective_gb(ps), ps) for ps in big]):
+        for i in range(len(gb.elements)):
+            bad = GroebnerBasis(DEGLEX, gb.elements[:i] + gb.elements[i + 1 :])
+            result = certify(bad, ps)
+            dropped += 1
+            if result.passed:
+                failures.append(("dropped element accepted", idx, i))
+            spair_rejects += any(r.startswith("S-polynomial of elements") for r in result.reasons)
+    if not spair_rejects:
+        failures.append("no dropped-element basis was rejected at the S-pair stage")
+    report(
+        capsys,
+        "criterion 6: certificate accepts computed bases, rejects 50 single-term mutations "
+        "and %d dropped-element bases (%d at the S-pairs)" % (dropped, spair_rejects),
+        failures,
+    )
 
 
 def test_criterion_7_dehomogenized_leading_exponent(capsys):

@@ -4,9 +4,18 @@ import json
 
 import pytest
 
-from pointideals.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+from helpers import reference_certify
+from pointideals import DEGLEX, GroebnerBasis, io, projective_gb
+from pointideals.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main
 
 P1_THREE = {"space": "projective", "dim": 1, "points": [["1", "0"], ["1", "1"], ["0", "1"]]}
+# the parabola through three affine points plus its point at infinity;
+# dropping the last basis element leaves an S-pair that does not reduce
+P2_PARABOLA = {
+    "space": "projective",
+    "dim": 2,
+    "points": [["1", "0", "0"], ["1", "1", "1"], ["1", "2", "4"], ["0", "0", "1"]],
+}
 AFF_ONE = {"space": "affine", "dim": 2, "points": [["3", "5"]]}
 
 
@@ -175,3 +184,36 @@ def test_output_is_deterministic_under_point_permutation(write, capsys):
     _, out1, _ = run(capsys, "gb", forward)
     _, out2, _ = run(capsys, "gb", backward)
     assert out1 == out2
+
+
+def test_verify_dropped_element_reports_reference_reasons(write, capsys, tmp_path):
+    points = write("p.json", P2_PARABOLA)
+    ps = io.parse_points(json.dumps(P2_PARABOLA))
+    gb = projective_gb(ps)
+    dropped = GroebnerBasis(DEGLEX, gb.elements[:-1])
+    basis = tmp_path / "dropped.json"
+    basis.write_text(io.dumps(io.basis_doc(dropped, extra={"space": "projective", "dim": 2})))
+    code, out, _ = run(capsys, "verify", points, str(basis))
+    expected = reference_certify(dropped, ps)
+    assert code == EXIT_VERIFY
+    assert out == io.dumps({"passed": False, "reasons": list(expected.reasons)})
+    assert any(r.startswith("S-polynomial of elements") for r in expected.reasons)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        RuntimeError("merge failed to stabilize by degree 13"),
+        ArithmeticError("internal certification failed: degree 2: 4 standard monomials but Hilbert function 3"),
+    ],
+)
+def test_internal_failure_exits_3(write, capsys, monkeypatch, error):
+    def broken(pointset):
+        raise error
+
+    monkeypatch.setattr("pointideals.cli.projective_gb", broken)
+    points = write("p.json", P1_THREE)
+    code, out, err = run(capsys, "gb", points)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: %s\n" % error

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_normal_form
 from pointideals.poly import (
     DEGLEX,
     DEGREVLEX,
@@ -42,15 +43,27 @@ def exponent_pairs():
     )
 
 
-def polynomials(min_arity=1, max_arity=4, max_deg=5):
-    def build(n):
-        exps = st.lists(st.integers(0, max_deg), min_size=n, max_size=n).map(tuple)
-        coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=3)
-        return st.lists(st.tuples(exps, coeffs), min_size=0, max_size=6).map(
-            lambda terms: Polynomial(n, terms)
-        )
+def polynomials_of_arity(n, max_deg=5):
+    exps = st.lists(st.integers(0, max_deg), min_size=n, max_size=n).map(tuple)
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+    return st.lists(st.tuples(exps, coeffs), min_size=0, max_size=6).map(
+        lambda terms: Polynomial(n, terms)
+    )
 
-    return st.integers(min_arity, max_arity).flatmap(build)
+
+def polynomials(min_arity=1, max_arity=4, max_deg=5):
+    return st.integers(min_arity, max_arity).flatmap(lambda n: polynomials_of_arity(n, max_deg))
+
+
+def division_problems():
+    """(f, divisors, order): divisors are nonzero, share f's arity and are
+    almost never a Groebner basis."""
+
+    def build(n):
+        divisors = st.lists(polynomials_of_arity(n, max_deg=3).filter(bool), max_size=4)
+        return st.tuples(polynomials_of_arity(n), divisors, st.sampled_from(ORDERS))
+
+    return st.integers(1, 4).flatmap(build)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +215,21 @@ def test_normal_form_removes_reducible_monomials():
     lead = divisor.leading(DEGLEX)[0]
     assert all(not exp_divides(lead, e) for e in r.terms)
     assert r == x1 * x2 + x1
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_problems())
+def test_normal_form_matches_reference(problem):
+    f, divisors, order = problem
+    assert normal_form(f, divisors, order) == reference_normal_form(f, divisors, order)
+
+
+def test_normal_form_rejects_zero_divisor_and_arity_mismatch():
+    x1 = Polynomial.variable(2, 0)
+    with pytest.raises(ValueError):
+        normal_form(x1, [Polynomial.zero(2)], DEGLEX)
+    with pytest.raises(ValueError):
+        normal_form(x1, [Polynomial.variable(3, 0)], DEGLEX)
 
 
 def test_s_polynomial_cancels_leading_terms():

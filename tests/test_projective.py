@@ -2,17 +2,19 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_projective
+from helpers import random_affine, random_projective, reference_affine_certify, reference_certify
 from pointideals import (
     DEGLEX,
     GroebnerBasis,
     Polynomial,
     Staircase,
+    affine_certify,
     affine_points,
     cone_basis,
     axis_census,
@@ -29,6 +31,7 @@ from pointideals import (
     unit_basis,
 )
 from pointideals.poly import LEX
+from pointideals.projective import hilbert_values
 
 P1_THREE = [[1, 0], [1, 1], [0, 1]]
 P2_COORD = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -178,6 +181,30 @@ def test_hilbert_function_values():
     assert [hilbert_function(p2, d) for d in range(3)] == [1, 3, 3]
 
 
+def _with_points_at_infinity(rng, n, s):
+    """A random projective set in which about half the points have first
+    coordinate 0."""
+    rows = set()
+    while len(rows) < s:
+        row = (Fraction(rng.randint(0, 1)),) + tuple(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)
+        )
+        if any(row):
+            lead = next(x for x in row if x)
+            rows.add(tuple(x / lead for x in row))
+    return projective_points(n, [list(r) for r in sorted(rows)])
+
+
+def test_hilbert_values_match_hilbert_function():
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        s = rng.randint(0, 7)
+        ps = random_projective(rng, n, s) if rng.random() < 0.5 else _with_points_at_infinity(rng, n, s)
+        expected = [hilbert_function(ps, d) for d in range(s + 3)]
+        assert list(islice(hilbert_values(ps), s + 3)) == expected
+
+
 def test_empty_set_is_unit_ideal():
     assert projective_gb(projective_points(2, [])).is_unit()
 
@@ -275,3 +302,92 @@ def test_basis_independent_of_point_order(seed):
     rows = [list(p) for p in ps.points]
     rng.shuffle(rows)
     assert projective_gb(projective_points(2, rows)) == projective_gb(ps)
+
+
+# ---------------------------------------------------------------------------
+# the pruned certificate against the full-pair reference
+
+
+def _candidates(gb, ps, other, rng):
+    """The computed basis, two single-term mutations, every basis with one
+    element dropped, and the basis checked against a different point set."""
+    out = [(gb, ps), (gb, other)]
+    for _ in range(2 if gb.elements else 0):
+        i = rng.randrange(len(gb.elements))
+        g = gb.elements[i]
+        exp = sorted(g.terms)[rng.randrange(len(g.terms))]
+        mutated = g + Polynomial.monomial(g.arity, exp)
+        out.append((GroebnerBasis(gb.order, gb.elements[:i] + (mutated,) + gb.elements[i + 1 :]), ps))
+    for i in range(len(gb.elements)):
+        out.append((GroebnerBasis(gb.order, gb.elements[:i] + gb.elements[i + 1 :]), ps))
+    return out
+
+
+def test_chain_criterion_skips_only_pairs_with_smaller_side_lcms():
+    # the pairwise lcms of X1*X2, X1*X3 and X2*X3 are all X1*X2*X3, so no
+    # pair may be skipped for the third: none of these S-pairs reduces
+    def basis(order, arity, *polys):
+        return GroebnerBasis(order, tuple(Polynomial(arity, terms) for terms in polys))
+
+    cases = [
+        (
+            certify,
+            reference_certify,
+            basis(
+                DEGLEX,
+                3,
+                [((1, 1, 0), 1), ((2, 0, 0), -1)],
+                [((1, 0, 1), 1), ((0, 2, 0), -1)],
+                [((0, 1, 1), 1), ((2, 0, 0), -1)],
+            ),
+            projective_points(2, []),
+        ),
+        (
+            affine_certify,
+            reference_affine_certify,
+            basis(
+                DEGLEX,
+                3,
+                [((1, 1, 0), 1), ((0, 0, 1), -1)],
+                [((1, 0, 1), 1), ((0, 1, 0), -1)],
+                [((0, 1, 1), 1), ((1, 0, 0), -1)],
+            ),
+            affine_points(3, []),
+        ),
+    ]
+    for check, reference, gb, ps in cases:
+        report = check(gb, ps)
+        assert report == reference(gb, ps)
+        assert report.reasons and all(r.startswith("S-polynomial of elements") for r in report.reasons)
+
+
+def test_certify_matches_reference():
+    rng = random.Random(4242)
+    spair_rejects = 0
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        s = rng.randint(1, 7)
+        ps = random_projective(rng, n, s) if rng.random() < 0.5 else _with_points_at_infinity(rng, n, s)
+        other = random_projective(rng, n, s)
+        for gb, points in _candidates(projective_gb(ps), ps, other, rng):
+            report = certify(gb, points)
+            assert report == reference_certify(gb, points)
+            spair_rejects += any(r.startswith("S-polynomial") for r in report.reasons)
+    assert spair_rejects > 0
+
+
+def test_affine_certify_matches_reference():
+    rng = random.Random(2424)
+    spair_rejects = 0
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        s = rng.randint(1, 8)
+        ps = random_affine(rng, n, s)
+        other = random_affine(rng, n, s)
+        for order in (LEX, DEGLEX):
+            gb = buchberger_moeller(ps, order)[0]
+            for cand, points in _candidates(gb, ps, other, rng):
+                report = affine_certify(cand, points)
+                assert report == reference_affine_certify(cand, points)
+                spair_rejects += any(r.startswith("S-polynomial") for r in report.reasons)
+    assert spair_rejects > 0
