@@ -83,7 +83,6 @@ def cone_basis(chart, trace=None):
     glex, stair, dstd = buchberger_moeller(chart, LEX)
     m = 2 + max((total_degree(b) for b in dstd), default=0)
     lexkey = order_key(LEX)
-    remaining = set(product(range(m + 1), repeat=n))
     canon = {}
 
     def f_of(beta):
@@ -94,13 +93,13 @@ def cone_basis(chart, trace=None):
     found = []  # (projected leading exponent, total degree of its g)
     found_full = []  # full-ring leading exponents emitted so far
     out = []
-    while remaining:
-        alpha = min(remaining, key=lexkey)
-        if not stair.contains(alpha):
-            remaining.discard(alpha)
+    for alpha in sorted(product(range(m + 1), repeat=n), key=lexkey):
+        # a multiple of a corner ap emitted at offset 0 (dg == |ap|) would fail
+        # the reducibility test below at any offset, as (0,) + ap divides it
+        if not stair.contains(alpha) or any(
+            dg == total_degree(ap) and exp_divides(ap, alpha) for ap, dg in found
+        ):
             continue
-        g = None
-        found_r = None
         for r in range(m - total_degree(alpha) + 1):
             target = total_degree(alpha) + r
             ys = []
@@ -124,30 +123,23 @@ def cone_basis(chart, trace=None):
             kept = [f for f in fy if ech.add([f.terms.get(e, 0) for e in high]) is None]
             coeffs = ech.query([-fa.terms.get(e, 0) for e in high])
             if coeffs is not None:
-                g = fa
-                for f, c in zip(kept, coeffs):
-                    if c:
-                        g = g + f * c
-                found_r = r
                 break
-        if g is not None:
-            lead_full = (g.total_degree() - total_degree(alpha),) + alpha
-            if any(exp_divides(lf, lead_full) for lf in found_full):
-                # reducible by an earlier output: not a corner, and larger r
-                # only adds more powers of the homogenizing variable
-                remaining.discard(alpha)
-                continue
-            out.append(homogenize(g))
-            found.append((alpha, g.total_degree()))
-            found_full.append(lead_full)
-            if trace is not None:
-                trace[alpha] = found_r
-            if found_r == 0:
-                remaining = {e for e in remaining if not exp_divides(alpha, e)}
-            else:
-                remaining.discard(alpha)
         else:
-            remaining.discard(alpha)
+            continue
+        g = fa
+        for f, c in zip(kept, coeffs):
+            if c:
+                g = g + f * c
+        lead_full = (g.total_degree() - total_degree(alpha),) + alpha
+        if any(exp_divides(lf, lead_full) for lf in found_full):
+            # reducible by an earlier output: not a corner, and larger r
+            # only adds more powers of the homogenizing variable
+            continue
+        out.append(homogenize(g))
+        found.append((alpha, g.total_degree()))
+        found_full.append(lead_full)
+        if trace is not None:
+            trace[alpha] = r
     key = order_key(DEGLEX)
     out.sort(key=lambda h: key(h.leading(DEGLEX)[0]))
     return GroebnerBasis(DEGLEX, tuple(out))
@@ -178,21 +170,31 @@ def lift_infinite_part(gb_sub):
 # ---------------------------------------------------------------------------
 # merging
 
-def _canonical_homogeneous(gb, exp, cache):
-    if exp not in cache:
-        mono = Polynomial.monomial(len(exp), exp)
-        cache[exp] = mono - normal_form(mono, gb.elements, DEGLEX)
-    return cache[exp]
-
-
 def merge(gb0, gb1, s):
     """Reduced deglex basis of the intersection of two homogeneous
     vanishing ideals, given their reduced deglex bases and the total point
     count s.
 
-    Candidate leading exponents are the staircase intersection, enumerated
-    in increasing deglex order; each candidate is accepted iff a linear
-    system matching the two canonical-element expansions is solvable.
+    The degree-d part of the intersection is the kernel of the linear map
+    f -> (NF0(f), NF1(f)) to the normal forms modulo gb0 and gb1.  The
+    candidates of degree d go to one Echelon in increasing deglex order as
+    vectors keyed by (side, exponent); a candidate whose vector depends on
+    those kept before it is a corner gamma, with element
+    gamma - sum(c_k * kept_k).
+
+    - A corner lies in C0 and C1, the staircases of gb0 and gb1: outside
+      C0, NF0(gamma) = gamma is a term of no smaller monomial's NF0, so the
+      vector of gamma is independent.  Hence a degree with no candidate in
+      both is all standard, and NF0 is computed only inside C0.
+    - The enumeration misses no candidate: the degree-d divisors of a
+      degree-(d+1) monomial that no corner divides are standard, so it is a
+      one-variable multiple of a standard monomial of degree d.
+    - A candidate is independent iff it is standard: a smaller
+      non-candidate leads an element of the intersection, so by induction
+      its vector lies in the span of those of the smaller standard
+      monomials.  So every tail lies on standard monomials, and the result
+      is the unique reduced basis.
+
     Enumeration stops once the standard-monomial count is constant over two
     consecutive degrees at a value not exceeding the lower degree and no
     corner lies beyond it (Macaulay growth makes the count persist); the
@@ -208,56 +210,38 @@ def merge(gb0, gb1, s):
     m = gb0.arity
     if gb1.arity != m:
         raise ValueError("arity mismatch: %d vs %d" % (m, gb1.arity))
-    s0 = staircase_of(gb0)
-    s1 = staircase_of(gb1)
+    sides = ((gb0.elements, staircase_of(gb0)), (gb1.elements, staircase_of(gb1)))
     key = order_key(DEGLEX)
-    cache0 = {}
-    cache1 = {}
-    found = []
+    corners = []
     elements = []
+    candidates = [(0,) * m]
     prev = None  # standard-monomial count of the previous degree
     d = 0
     while True:
-        monos = sorted(monomials_of_degree(m, d), key=key)
-        for gamma in monos:
-            if not (s0.contains(gamma) and s1.contains(gamma)):
-                continue
-            if any(exp_divides(b, gamma) for b in found):
-                continue
-            free = [
-                e
-                for e in monos
-                if key(e) < key(gamma) and not any(exp_divides(b, e) for b in found)
-            ]
-            deltas = [e for e in free if s0.contains(e)]
-            etas = [e for e in free if s1.contains(e)]
-            f0g = _canonical_homogeneous(gb0, gamma, cache0)
-            f1g = _canonical_homogeneous(gb1, gamma, cache1)
-            f0s = [_canonical_homogeneous(gb0, e, cache0) for e in deltas]
-            f1s = [_canonical_homogeneous(gb1, e, cache1) for e in etas]
-            target = f0g - f1g
-            support = set(target.terms)
-            for poly in f0s + f1s:
-                support.update(poly.terms)
-            support = sorted(support)
-            # columns: the f1s, then the negated f0s; a column dependent on
-            # earlier ones gets coefficient 0
+        standard = candidates
+        if any(all(st.contains(g) for _, st in sides) for g in candidates):
+            vecs = []
+            for gamma in candidates:
+                vec = {}
+                for side, (basis, st) in enumerate(sides):
+                    nf = {gamma: 1}
+                    if st.contains(gamma):
+                        nf = normal_form(Polynomial.monomial(m, gamma), basis, DEGLEX).terms
+                    vec.update(((side, e), c) for e, c in nf.items())
+                vecs.append(vec)
+            columns = sorted(set().union(*vecs))
             ech = Echelon()
-            for p in f1s:
-                ech.add([p.terms.get(e, 0) for e in support])
-            n1 = ech.rank
-            kept = [p for p in f0s if ech.add([-p.terms.get(e, 0) for e in support]) is None]
-            coeffs = ech.query([target.terms.get(e, 0) for e in support])
-            if coeffs is not None:
-                fg = f0g
-                for p, c in zip(kept, coeffs[n1:]):
-                    if c:
-                        fg = fg + p * c
-                elements.append(fg)
-                found.append(gamma)
-        c = sum(1 for e in monos if not any(exp_divides(b, e) for b in found))
+            standard = []
+            for gamma, vec in zip(candidates, vecs):
+                coeffs = ech.add([vec.get(col, 0) for col in columns])
+                if coeffs is None:
+                    standard.append(gamma)
+                else:
+                    elements.append(Polynomial(m, [(gamma, 1)] + [(e, -c) for e, c in zip(standard, coeffs)]))
+                    corners.append(gamma)
+        c = len(standard)
         if c == prev:
-            max_corner = max((total_degree(b) for b in found), default=0)
+            max_corner = max((total_degree(b) for b in corners), default=0)
             if max_corner <= d - 1 and c <= d - 1:
                 if c != s:
                     raise ValueError(
@@ -269,7 +253,9 @@ def merge(gb0, gb1, s):
         d += 1
         if d > 4 * s + 8:
             raise RuntimeError("merge failed to stabilize by degree %d" % d)
-    elements.sort(key=lambda g: key(g.leading(DEGLEX)[0]))
+        border = {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(m)}
+        candidates = sorted((e for e in border if not any(exp_divides(b, e) for b in corners)), key=key)
+    # corners were found in increasing deglex order
     return GroebnerBasis(DEGLEX, tuple(elements))
 
 

@@ -4,8 +4,9 @@ test suite.
 Coordinates are rationals p/q with |p| <= 5 and q <= 3 so exact
 arithmetic stays cheap while still exercising non-integer points.  The
 references are the straightforward versions of faster library code: a
-dense Gauss-Jordan rref, and the normal form and certificates that
-rebuild the remainder on every step and reduce every S-pair.
+dense Gauss-Jordan rref, the normal form and certificates that rebuild
+the remainder on every step and reduce every S-pair, and the merge that
+solves one linear system per candidate.
 """
 
 from fractions import Fraction
@@ -13,6 +14,8 @@ from fractions import Fraction
 from pointideals import (
     DEGLEX,
     CertReport,
+    GroebnerBasis,
+    Polynomial,
     Staircase,
     affine_points,
     evaluate,
@@ -21,7 +24,8 @@ from pointideals import (
     s_polynomial,
     staircase_of,
 )
-from pointideals.poly import exp_divides, exp_sub, order_key
+from pointideals.linalg import Echelon
+from pointideals.poly import exp_divides, exp_sub, monomials_of_degree, normal_form, order_key, total_degree
 
 
 def random_fraction(rng):
@@ -238,3 +242,104 @@ def reference_affine_certify(gb, pointset):
                 if len(std) != s:
                     reasons.append("%d standard monomials but %d points" % (len(std), s))
     return CertReport(not reasons, tuple(reasons))
+
+
+# ---------------------------------------------------------------------------
+# merge as first written: one linear system per candidate over the
+# canonical elements of the free monomials of its degree; the differential
+# reference of the one-kernel-per-degree merge
+
+
+def _canonical_homogeneous(gb, exp, cache):
+    if exp not in cache:
+        mono = Polynomial.monomial(len(exp), exp)
+        cache[exp] = mono - normal_form(mono, gb.elements, DEGLEX)
+    return cache[exp]
+
+
+def reference_merge(gb0, gb1, s):
+    """Reduced deglex basis of the intersection of two homogeneous
+    vanishing ideals, given their reduced deglex bases and the total point
+    count s.
+
+    Candidate leading exponents are the staircase intersection, enumerated
+    in increasing deglex order; each candidate is accepted iff a linear
+    system matching the two canonical-element expansions is solvable.
+    Enumeration stops once the standard-monomial count is constant over two
+    consecutive degrees at a value not exceeding the lower degree and no
+    corner lies beyond it (Macaulay growth makes the count persist); the
+    stabilized count must equal s."""
+    if gb0.order != DEGLEX or gb1.order != DEGLEX:
+        raise ValueError("merge needs deglex bases")
+    if gb1.is_unit():
+        return gb0
+    if gb0.is_unit():
+        return gb1
+    if gb0.is_zero_ideal() or gb1.is_zero_ideal():
+        return GroebnerBasis(DEGLEX, ())
+    m = gb0.arity
+    if gb1.arity != m:
+        raise ValueError("arity mismatch: %d vs %d" % (m, gb1.arity))
+    s0 = staircase_of(gb0)
+    s1 = staircase_of(gb1)
+    key = order_key(DEGLEX)
+    cache0 = {}
+    cache1 = {}
+    found = []
+    elements = []
+    prev = None  # standard-monomial count of the previous degree
+    d = 0
+    while True:
+        monos = sorted(monomials_of_degree(m, d), key=key)
+        for gamma in monos:
+            if not (s0.contains(gamma) and s1.contains(gamma)):
+                continue
+            if any(exp_divides(b, gamma) for b in found):
+                continue
+            free = [
+                e
+                for e in monos
+                if key(e) < key(gamma) and not any(exp_divides(b, e) for b in found)
+            ]
+            deltas = [e for e in free if s0.contains(e)]
+            etas = [e for e in free if s1.contains(e)]
+            f0g = _canonical_homogeneous(gb0, gamma, cache0)
+            f1g = _canonical_homogeneous(gb1, gamma, cache1)
+            f0s = [_canonical_homogeneous(gb0, e, cache0) for e in deltas]
+            f1s = [_canonical_homogeneous(gb1, e, cache1) for e in etas]
+            target = f0g - f1g
+            support = set(target.terms)
+            for poly in f0s + f1s:
+                support.update(poly.terms)
+            support = sorted(support)
+            # columns: the f1s, then the negated f0s; a column dependent on
+            # earlier ones gets coefficient 0
+            ech = Echelon()
+            for p in f1s:
+                ech.add([p.terms.get(e, 0) for e in support])
+            n1 = ech.rank
+            kept = [p for p in f0s if ech.add([-p.terms.get(e, 0) for e in support]) is None]
+            coeffs = ech.query([target.terms.get(e, 0) for e in support])
+            if coeffs is not None:
+                fg = f0g
+                for p, c in zip(kept, coeffs[n1:]):
+                    if c:
+                        fg = fg + p * c
+                elements.append(fg)
+                found.append(gamma)
+        c = sum(1 for e in monos if not any(exp_divides(b, e) for b in found))
+        if c == prev:
+            max_corner = max((total_degree(b) for b in found), default=0)
+            if max_corner <= d - 1 and c <= d - 1:
+                if c != s:
+                    raise ValueError(
+                        "merged staircase stabilizes at %d standard monomials per degree, "
+                        "expected %d; the merged point sets are inconsistent" % (c, s)
+                    )
+                break
+        prev = c
+        d += 1
+        if d > 4 * s + 8:
+            raise RuntimeError("merge failed to stabilize by degree %d" % d)
+    elements.sort(key=lambda g: key(g.leading(DEGLEX)[0]))
+    return GroebnerBasis(DEGLEX, tuple(elements))

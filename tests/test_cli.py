@@ -5,7 +5,7 @@ import json
 import pytest
 
 from helpers import reference_certify
-from pointideals import DEGLEX, GroebnerBasis, io, projective_gb
+from pointideals import DEGLEX, GroebnerBasis, cli, io, projective, projective_gb
 from pointideals.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main
 
 P1_THREE = {"space": "projective", "dim": 1, "points": [["1", "0"], ["1", "1"], ["0", "1"]]}
@@ -70,6 +70,25 @@ def test_gb_verify_flag(write, capsys):
     points = write("p.json", P1_THREE)
     code, _, _ = run(capsys, "gb", points, "--verify")
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("doc, expected", [(P2_PARABOLA, ["certify"]), (AFF_ONE, ["affine_certify"])])
+def test_gb_verify_certifies_once(write, capsys, monkeypatch, doc, expected):
+    calls = []
+    for name in ("certify", "affine_certify"):
+
+        def counting(gb, ps, check=getattr(projective, name), name=name):
+            calls.append(name)
+            return check(gb, ps)
+
+        monkeypatch.setattr(projective, name, counting)
+        monkeypatch.setattr(cli, name, counting)
+    points = write("p.json", doc)
+    code, out, _ = run(capsys, "gb", points, "--verify")
+    assert code == EXIT_OK
+    assert calls == expected
+    # the output is that of gb without --verify
+    assert out == run(capsys, "gb", points)[1]
 
 
 def test_axes_matches(write, capsys):

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_affine, random_projective, reference_affine_certify, reference_certify
+from helpers import (
+    random_affine,
+    random_fraction,
+    random_projective,
+    reference_affine_certify,
+    reference_certify,
+    reference_merge,
+)
 from pointideals import (
     DEGLEX,
     GroebnerBasis,
@@ -145,8 +152,53 @@ def test_merge_reassembles_p1_example():
 def test_merge_rejects_wrong_point_count():
     gb0 = GroebnerBasis(DEGLEX, (Polynomial.variable(2, 0),))
     gb1 = cone_basis(affine_points(1, [[0], [1]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         merge(gb0, gb1, 5)
+    with pytest.raises(ValueError) as ref_err:
+        reference_merge(gb0, gb1, 5)
+    assert str(err.value) == str(ref_err.value)
+
+
+def _spread_over_charts(rng, n, s):
+    """A random projective set whose points have 0 to n leading zero
+    coordinates, so they fall into up to n + 1 charts."""
+    rows = set()
+    while len(rows) < s:
+        k = rng.randint(0, n)
+        row = (Fraction(0),) * k + (Fraction(1),) + tuple(random_fraction(rng) for _ in range(n - k))
+        rows.add(row)
+    return projective_points(n, [list(r) for r in sorted(rows)])
+
+
+def test_merge_matches_reference(monkeypatch):
+    # every merge projective_gb runs, recorded as (part at infinity, cone
+    # basis, point count) and repeated against the reference
+    calls = []
+
+    def recording(gb0, gb1, s):
+        calls.append((gb0, gb1, s))
+        return merge(gb0, gb1, s)
+
+    monkeypatch.setattr("pointideals.projective.merge", recording)
+    rng = random.Random(707)
+    charts_used = []
+    for i in range(40):
+        n = rng.randint(1, 3)
+        s = rng.randint(1, 7)
+        if i % 2 == 0:
+            ps = random_projective(rng, n, s)
+        elif i % 4 == 1:
+            ps = _with_points_at_infinity(rng, n, s)
+        else:
+            ps = _spread_over_charts(rng, rng.randint(2, 3), rng.randint(4, 8))
+        charts_used.append(sum(1 for c in split_charts(ps) if c.points))
+        projective_gb(ps)
+    assert sum(1 for k in charts_used if k >= 3) >= 5
+    kernel_passes = 0
+    for gb0, gb1, s in calls:
+        assert merge(gb0, gb1, s) == reference_merge(gb0, gb1, s)
+        kernel_passes += not (gb0.is_unit() or gb1.is_unit())
+    assert kernel_passes >= 20
 
 
 # ---------------------------------------------------------------------------
