@@ -20,7 +20,6 @@ from .poly import (
     GroebnerBasis,
     Polynomial,
     exp_divides,
-    monomial_value,
     monomials_of_degree,
     normal_form,
     order_key,
@@ -155,16 +154,19 @@ def buchberger_moeller(pointset, order):
         return gb, Staircase(n, (origin,)), []
     key = order_key(order)
     heap = [(key(origin), origin)]
-    seen = {origin}
+    # evaluation vectors of the heap's monomials: X^e*X_i, pushed by a standard X^e,
+    # is X^e's vector times coordinate i; it exceeds all popped, so is new iff absent
+    values = {origin: [1] * len(pts)}
     standard = []
     ech = Echelon()
     corners = []
     basis = []
     while heap:
         _, exp = heapq.heappop(heap)
+        vec = values.pop(exp)
         if any(exp_divides(b, exp) for b in corners):
             continue
-        coeffs = ech.add([monomial_value(exp, p) for p in pts])
+        coeffs = ech.add(vec)
         if coeffs is not None:
             terms = [(exp, Fraction(1))]
             terms.extend((standard[j], -c) for j, c in enumerate(coeffs) if c)
@@ -173,9 +175,9 @@ def buchberger_moeller(pointset, order):
         else:
             standard.append(exp)
             for i in range(n):
-                ne = tuple(e + int(j == i) for j, e in enumerate(exp))
-                if ne not in seen:
-                    seen.add(ne)
+                ne = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
+                if ne not in values:
+                    values[ne] = [v * p[i] for v, p in zip(vec, pts)]
                     heapq.heappush(heap, (key(ne), ne))
     if len(standard) != len(pts):
         raise ArithmeticError("standard monomial count must equal point count")

@@ -1,30 +1,33 @@
-"""Exact incremental echelon kernel over the rationals.
+"""Exact incremental echelon kernel over the rationals, on integer rows.
 
-An Echelon holds the vectors added to it so far in semi-echelon form.  A
-vector is reduced once against the stored rows; if something is left, it is
-normalized to 1 at its first nonzero entry (the pivot) and stored as a new
-row, otherwise its dependency coefficients over the stored vectors are
-recovered by back-substitution.  Nothing is ever re-solved from scratch, so
-a sequence of k additions of length-L vectors costs O(k * rank * L).
+An incoming vector v is scaled by D, the lcm of its entries' denominators,
+to the integer vector w = D * v, then reduced once against the stored rows
+by fraction-free cross-multiplication: its entry a at the pivot of a row
+with pivot entry b is cleared by multiplying it by b/g and subtracting the
+row times a/g, where g = gcd(a, b).  An integer transform t rides along, so
+that it always equals t_new * w + sum(t_j * w_j) over the stored vectors
+w_j = D_j * v_j.  If something is left, it is stored, together with its
+transform, divided by the gcd of all their entries and signed so that the
+pivot (the first nonzero entry) is positive.  If nothing is left, v is
+sum(c_j * v_j) with c_j = -t_j * D_j / (t_new * D): the only Fractions the
+kernel builds.  Nothing is re-solved from scratch, so k additions of
+length-L vectors cost O(k * rank * (L + rank)) operations on ints.
 
-Entries are Fractions (ints are accepted); there is no floating point, so
-rank and dependency are exact predicates.
+Entries are ints or Fractions; there is no floating point, so rank and
+dependency are exact predicates and every coefficient is an exact rational.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
-
-_ONE = Fraction(1)
+from math import gcd, lcm
 
 
 class Echelon:
     """Incremental row echelon form of a growing list of equal-length
     vectors.
 
-    Stored row k is (pivot, row, inverse, factors): row is the k-th stored
-    vector minus sum(factors[i] * row_i for i < k), scaled by inverse so
-    that row[pivot] == 1.  Every row is zero at the pivots before its own.
+    Stored row k is (pivot, row, transform, D_k): the integer row equals
+    sum(transform[j] * D_j * v_j for j <= k) over the stored vectors v_j.
+    It is zero at the pivots before its own, and row[pivot] > 0.
     """
 
     def __init__(self):
@@ -40,49 +43,39 @@ class Echelon:
         """Store vec if it is independent of the stored vectors and return
         None; otherwise store nothing and return its coefficients over the
         stored vectors, in the order they were stored."""
-        rem, factors = self._reduce(vec)
+        rem, transform, scale = self._reduce(vec)
         if self._length is None:
             self._length = len(rem)
         pivot = next((i for i, x in enumerate(rem) if x), None)
         if pivot is None:
-            return self._back_substitute(factors)
-        inverse = _ONE / rem[pivot]
-        self._rows.append((pivot, [x * inverse for x in rem], inverse, factors))
+            return self._coefficients(transform, scale)
+        g = gcd(*rem, *transform) if rem[pivot] > 0 else -gcd(*rem, *transform)
+        self._rows.append((pivot, [x // g for x in rem], [t // g for t in transform], scale))
         return None
 
     def query(self, vec):
         """Coefficients of vec over the stored vectors, or None if vec is
         independent of them; nothing is stored."""
-        rem, factors = self._reduce(vec)
-        if any(rem):
-            return None
-        return self._back_substitute(factors)
+        rem, transform, scale = self._reduce(vec)
+        return None if any(rem) else self._coefficients(transform, scale)
 
     def _reduce(self, vec):
-        """Subtract from vec its projection on every stored row, in order;
-        returns the remainder and the multiple taken of each row."""
-        rem = list(vec)
-        if self._length is not None and len(rem) != self._length:
-            raise ValueError("vector has length %d, expected %d" % (len(rem), self._length))
-        factors = []
-        for pivot, row, _, _ in self._rows:
-            f = rem[pivot]
-            if f:
-                rem = [x - f * y if y else x for x, y in zip(rem, row)]
-            factors.append(f)
-        return rem, factors
+        """Clear vec of its pivot entries by cross-multiplication; returns
+        the remainder, its transform (the last entry is vec's) and D."""
+        if self._length is not None and len(vec) != self._length:
+            raise ValueError("vector has length %d, expected %d" % (len(vec), self._length))
+        scale = lcm(*(x.denominator for x in vec))
+        rem = [x.numerator * (scale // x.denominator) for x in vec]
+        transform = [0] * len(self._rows) + [1]
+        for pivot, row, row_transform, _ in self._rows:
+            a = rem[pivot]
+            if a:
+                g = gcd(a, row[pivot])
+                a, b = a // g, row[pivot] // g
+                rem = [b * x - a * y for x, y in zip(rem, row)]
+                tail = [b * t for t in transform[len(row_transform) :]]
+                transform = [b * t - a * u for t, u in zip(transform, row_transform)] + tail
+        return rem, transform, scale
 
-    def _back_substitute(self, factors):
-        """Rewrite sum(factors[k] * row_k) over the stored vectors."""
-        g = list(factors)
-        coeffs = [Fraction(0)] * len(g)
-        for k in range(len(g) - 1, -1, -1):
-            if not g[k]:
-                continue
-            _, _, inverse, row_factors = self._rows[k]
-            c = g[k] * inverse
-            coeffs[k] = c
-            for i, f in enumerate(row_factors):
-                if f:
-                    g[i] -= c * f
-        return coeffs
+    def _coefficients(self, transform, scale):
+        return [Fraction(-t * row[3], transform[-1] * scale) for t, row in zip(transform, self._rows)]

@@ -29,7 +29,6 @@ from .poly import (
     LEX,
     GroebnerBasis,
     Polynomial,
-    evaluate,
     exp_add,
     exp_divides,
     exp_lcm,
@@ -398,9 +397,11 @@ def _kept_pairs(leads, order):
 def _certify_core(gb, pointset, arity, order, homogeneous):
     """Reasons from the checks certify and affine_certify share, in order."""
     elements = gb.elements
-    if elements and gb.arity != arity:
-        return ["basis arity %d does not match ambient %d" % (gb.arity, arity)]
+    mismatched = [g.arity for g in elements if g.arity != arity]
+    if mismatched:
+        return ["basis arity %d does not match ambient %d" % (mismatched[0], arity)]
     reasons = []
+    tables = [{} for _ in pointset.points]  # monomial values, shared by all elements
     for idx, g in enumerate(elements):
         if g.is_zero():
             reasons.append("element %d is zero" % idx)
@@ -409,8 +410,9 @@ def _certify_core(gb, pointset, arity, order, homogeneous):
             reasons.append("element %d is not homogeneous: %s" % (idx, g))
         if g.leading(order)[1] != 1:
             reasons.append("element %d is not monic" % idx)
-        for p in pointset.points:
-            if evaluate(g, p) != 0:
+        for p, table in zip(pointset.points, tables):
+            table.update((e, monomial_value(e, p)) for e in g.terms.keys() - table.keys())
+            if sum(c * table[e] for e, c in g.terms.items()) != 0:
                 reasons.append("element %d does not vanish at %r" % (idx, [str(x) for x in p]))
                 break
     for i, g in enumerate(elements):

@@ -4,9 +4,9 @@ test suite.
 Coordinates are rationals p/q with |p| <= 5 and q <= 3 so exact
 arithmetic stays cheap while still exercising non-integer points.  The
 references are the straightforward versions of faster library code: a
-dense Gauss-Jordan rref, the normal form and certificates that rebuild
-the remainder on every step and reduce every S-pair, and the merge that
-solves one linear system per candidate.
+dense Gauss-Jordan rref, the echelon kernel on Fraction rows, the normal
+form and certificates that rebuild the remainder on every step and reduce
+every S-pair, and the merge that solves one linear system per candidate.
 """
 
 from fractions import Fraction
@@ -24,7 +24,6 @@ from pointideals import (
     s_polynomial,
     staircase_of,
 )
-from pointideals.linalg import Echelon
 from pointideals.poly import exp_divides, exp_sub, monomials_of_degree, normal_form, order_key, total_degree
 
 
@@ -91,6 +90,83 @@ def reference_solve(rows, b):
     for i, c in enumerate(pivots):
         x[c] = red[i][ncols]
     return tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# the echelon kernel as first written, on Fraction rows: the differential
+# reference of the kernel on integer rows
+
+_ONE = Fraction(1)
+
+
+class ReferenceEchelon:
+    """Incremental row echelon form of a growing list of equal-length
+    vectors.
+
+    Stored row k is (pivot, row, inverse, factors): row is the k-th stored
+    vector minus sum(factors[i] * row_i for i < k), scaled by inverse so
+    that row[pivot] == 1.  Every row is zero at the pivots before its own.
+    """
+
+    def __init__(self):
+        self._rows = []
+        self._length = None  # fixed by the first vector added
+
+    @property
+    def rank(self):
+        """Number of stored (linearly independent) vectors."""
+        return len(self._rows)
+
+    def add(self, vec):
+        """Store vec if it is independent of the stored vectors and return
+        None; otherwise store nothing and return its coefficients over the
+        stored vectors, in the order they were stored."""
+        rem, factors = self._reduce(vec)
+        if self._length is None:
+            self._length = len(rem)
+        pivot = next((i for i, x in enumerate(rem) if x), None)
+        if pivot is None:
+            return self._back_substitute(factors)
+        inverse = _ONE / rem[pivot]
+        self._rows.append((pivot, [x * inverse for x in rem], inverse, factors))
+        return None
+
+    def query(self, vec):
+        """Coefficients of vec over the stored vectors, or None if vec is
+        independent of them; nothing is stored."""
+        rem, factors = self._reduce(vec)
+        if any(rem):
+            return None
+        return self._back_substitute(factors)
+
+    def _reduce(self, vec):
+        """Subtract from vec its projection on every stored row, in order;
+        returns the remainder and the multiple taken of each row."""
+        rem = list(vec)
+        if self._length is not None and len(rem) != self._length:
+            raise ValueError("vector has length %d, expected %d" % (len(rem), self._length))
+        factors = []
+        for pivot, row, _, _ in self._rows:
+            f = rem[pivot]
+            if f:
+                rem = [x - f * y if y else x for x, y in zip(rem, row)]
+            factors.append(f)
+        return rem, factors
+
+    def _back_substitute(self, factors):
+        """Rewrite sum(factors[k] * row_k) over the stored vectors."""
+        g = list(factors)
+        coeffs = [Fraction(0)] * len(g)
+        for k in range(len(g) - 1, -1, -1):
+            if not g[k]:
+                continue
+            _, _, inverse, row_factors = self._rows[k]
+            c = g[k] * inverse
+            coeffs[k] = c
+            for i, f in enumerate(row_factors):
+                if f:
+                    g[i] -= c * f
+        return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +390,7 @@ def reference_merge(gb0, gb1, s):
             support = sorted(support)
             # columns: the f1s, then the negated f0s; a column dependent on
             # earlier ones gets coefficient 0
-            ech = Echelon()
+            ech = ReferenceEchelon()
             for p in f1s:
                 ech.add([p.terms.get(e, 0) for e in support])
             n1 = ech.rank

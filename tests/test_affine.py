@@ -22,6 +22,8 @@ from pointideals import (
     projective_points,
     staircase_of,
 )
+from pointideals import affine
+from pointideals.poly import monomial_value, order_key
 
 # ---------------------------------------------------------------------------
 # point-set construction
@@ -127,6 +129,27 @@ def test_basis_vanishes_and_certifies():
                 assert evaluate(g, p) == 0
         assert len(std) == 4
         assert affine_certify(gb, pts).passed
+
+
+def test_incremental_evaluation_vectors_match_monomial_value(monkeypatch):
+    """The kernel is fed, in increasing term order, the evaluation vector of
+    every standard monomial and every corner."""
+    fed = []
+
+    class Recording(affine.Echelon):
+        def add(self, vec):
+            fed.append(vec)
+            return super().add(vec)
+
+    monkeypatch.setattr(affine, "Echelon", Recording)
+    rng = random.Random(505)
+    for k in range(20):
+        ps = random_affine(rng, 2 + k % 2, rng.randint(1, 12))
+        for order in (LEX, DEGLEX):
+            fed.clear()
+            _, stair, standard = buchberger_moeller(ps, order)
+            exps = sorted(standard + list(stair.corners), key=order_key(order))
+            assert fed == [[monomial_value(e, p) for p in ps.points] for e in exps]
 
 
 def test_requires_affine_mode():

@@ -66,6 +66,15 @@ def test_verify_detects_mutation(write, capsys, tmp_path):
     assert "vanish" in out2 or "reducible" in out2
 
 
+def test_verify_malformed_basis_exits_2(write, capsys):
+    points = write("p.json", AFF_ONE)
+    basis = write("b.json", {"order": "lex", "variables": 2, "basis": 5})
+    code, out, err = run(capsys, "verify", points, basis)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and "basis" in err
+
+
 def test_gb_verify_flag(write, capsys):
     points = write("p.json", P1_THREE)
     code, _, _ = run(capsys, "gb", points, "--verify")

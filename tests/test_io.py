@@ -102,6 +102,8 @@ def test_basis_terms_are_sorted_decreasing():
         '{"order":"deglex","variables":true,"basis":[[[[1],"1"]]]}',
         '{"order":"deglex","variables":2,"basis":[[[[true,0],"1"]]]}',
         '{"order":"deglex","variables":2,"first_variable":"x","basis":[]}',
+        '{"order":"deglex","variables":2,"basis":5}',
+        '{"order":"deglex","variables":2,"basis":[7]}',
     ],
 )
 def test_parse_basis_rejects_malformed(text):

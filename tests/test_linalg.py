@@ -1,5 +1,5 @@
 """Tests for the incremental exact echelon kernel, against a dense
-Gauss-Jordan reference."""
+Gauss-Jordan reference and the kernel on Fraction rows."""
 
 from fractions import Fraction
 
@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_solve, rref
+from helpers import ReferenceEchelon, reference_solve, rref
 from pointideals.linalg import Echelon
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+# ints beside Fractions with large denominators, so that a vector's ints must
+# be scaled by the lcm of its denominators like its Fractions
+mixed = st.one_of(
+    st.just(0),
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9),
+)
 
 
 def matrices(max_dim=4):
@@ -122,3 +129,26 @@ def test_kernel_matches_reference(m, data):
         b = data.draw(st.lists(fractions, min_size=len(m), max_size=len(m)))
     assert rank(m) == len(rref(m)[1])
     assert solve(m, b) == reference_solve(m, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_kernel_matches_reference_echelon(length, data):
+    ech, ref = Echelon(), ReferenceEchelon()
+    drawn = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        kind = data.draw(st.sampled_from(["fresh", "zero", "multiple", "combination"]))
+        if kind == "zero":
+            vec = [data.draw(st.sampled_from([0, Fraction(0)])) for _ in range(length)]
+        elif kind == "multiple" and drawn:
+            c = data.draw(mixed)
+            vec = [c * x for x in data.draw(st.sampled_from(drawn))]
+        elif kind == "combination" and drawn:
+            coeffs = data.draw(st.lists(mixed, min_size=len(drawn), max_size=len(drawn)))
+            vec = [sum(c * v[i] for c, v in zip(coeffs, drawn)) for i in range(length)]
+        else:
+            vec = data.draw(st.lists(mixed, min_size=length, max_size=length))
+        drawn.append(vec)
+        op = data.draw(st.sampled_from(["add", "query"]))
+        assert getattr(ech, op)(vec) == getattr(ref, op)(vec)
+        assert ech.rank == ref.rank

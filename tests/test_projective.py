@@ -375,6 +375,13 @@ def _candidates(gb, ps, other, rng):
     return out
 
 
+def test_certificates_reject_an_element_of_another_arity():
+    mixed = GroebnerBasis(DEGLEX, (Polynomial(2, [((1, 0), 1)]), Polynomial(3, [((0, 1, 0), 1)])))
+    for check, ps in ((certify, projective_points(1, [[1, 0]])), (affine_certify, affine_points(2, [[0, 0]]))):
+        report = check(mixed, ps)
+        assert report.reasons == ("basis arity 3 does not match ambient 2",)
+
+
 def test_chain_criterion_skips_only_pairs_with_smaller_side_lcms():
     # the pairwise lcms of X1*X2, X1*X3 and X2*X3 are all X1*X2*X3, so no
     # pair may be skipped for the third: none of these S-pairs reduces
