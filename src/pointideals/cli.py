@@ -14,6 +14,7 @@ from . import io
 from .affine import AFFINE, PROJECTIVE, Staircase, buchberger_moeller, staircase_of
 from .poly import DEGLEX, DEGREVLEX, LEX, Polynomial, buchberger, poly_str
 from .projective import (
+    CertReport,
     affine_certify,
     axis_census,
     certify,
@@ -155,15 +156,21 @@ def cmd_hilbert(args, ps):
 
 
 def cmd_verify(args, ps):
-    gb, _ = io.parse_basis(_read(args.basis))
+    gb, _, variables = io.parse_basis(_read(args.basis))
     if ps.mode == AFFINE:
         if gb.order not in (LEX, DEGLEX):
             raise io.InputError("affine bases support only lex or deglex")
-        report = affine_certify(gb, ps)
+        check = affine_certify
     else:
         if gb.order != DEGLEX:
             raise io.InputError("projective bases are certified in deglex only")
-        report = certify(gb, ps)
+        check = certify
+    ambient = _ambient_arity(ps)
+    if variables != ambient:
+        # checked on the document: an empty basis carries no arity of its own
+        report = CertReport(False, ("basis arity %d does not match ambient %d" % (variables, ambient),))
+    else:
+        report = check(gb, ps)
     doc = {"passed": report.passed, "reasons": list(report.reasons)}
     lines = ["passed: %s" % ("true" if report.passed else "false")]
     lines.extend("  " + r for r in report.reasons)

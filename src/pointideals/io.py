@@ -106,7 +106,9 @@ def basis_doc(gb, first_var=1, extra=None):
 
 
 def parse_basis(text):
-    """Parse a basis document back into (GroebnerBasis, first_var)."""
+    """Parse a basis document back into (GroebnerBasis, first_var,
+    variables); `variables` is the document's arity, which an empty basis
+    does not carry itself."""
     doc = _load_object(text, "basis")
     order = doc.get("order")
     if order not in ("lex", "deglex", "degrevlex"):
@@ -133,7 +135,7 @@ def parse_basis(text):
                 raise InputError("exponent vector %r does not match %d variables" % (exp, arity))
             terms.append((tuple(exp), parse_rational(coeff)))
         elements.append(Polynomial(arity, terms))
-    return GroebnerBasis(order, tuple(elements)), first_var
+    return GroebnerBasis(order, tuple(elements)), first_var, arity
 
 
 def dumps(doc):

@@ -5,19 +5,21 @@ nonzero coordinate.  The deglex basis of the cone over the finite chart is
 built from the lex basis of the affine chart by homogenization
 (cone_basis); the hyperplane-at-infinity part is lifted, and the two bases
 are merged degree by degree into the basis of the union.  The result is
-certified independently: vanishing, Buchberger's criterion, and a
-Hilbert-function match via evaluation-matrix ranks.
+certified independently: a basis whose elements vanish and whose staircase
+counts match the Hilbert function (evaluation-matrix ranks on integer point
+vectors) is accepted without S-pairs; any other basis is rejected, and only
+then are its S-pairs reduced, so that the reasons name each failing check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, product, repeat
+from math import lcm, prod
 
 from .affine import (
     AFFINE,
     PROJECTIVE,
-    Staircase,
     affine_points,
     buchberger_moeller,
     canonical_element,
@@ -169,6 +171,35 @@ def lift_infinite_part(gb_sub):
 # ---------------------------------------------------------------------------
 # merging
 
+def standard_walk(arity, corners):
+    """Walk the standard monomials of the monomial ideal generated by
+    `corners` degree by degree, and stop once their count persists.
+
+    Yields (d, candidates) for d = 0, 1, ...: the unit monomial, then the
+    one-variable multiples of degree d-1's standard monomials that no corner
+    divides, in increasing deglex order.  Every standard monomial is a
+    candidate, as its divisors are standard.  The caller may append corners
+    of degree d to `corners` before resuming; those candidates are then not
+    standard.  The walk ends after a degree d whose standard count c equals
+    that of d-1, with c <= d-1 and no corner beyond degree d-1: then
+    Macaulay's bound is c^<d-1> = c, so by Gotzmann's persistence theorem
+    the count is c in every higher degree."""
+    key = order_key(DEGLEX)
+    border = {(0,) * arity}
+    prev = None  # standard count of the previous degree
+    for d in count():
+        candidates = sorted((e for e in border if not any(exp_divides(b, e) for b in corners)), key=key)
+        known = len(corners)
+        yield d, candidates
+        new = corners[known:]
+        standard = [e for e in candidates if e not in new]
+        c = len(standard)
+        if c == prev and c <= d - 1 and all(total_degree(b) <= d - 1 for b in corners):
+            return
+        prev = c
+        border = {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(arity)}
+
+
 def merge(gb0, gb1, s):
     """Reduced deglex basis of the intersection of two homogeneous
     vanishing ideals, given their reduced deglex bases and the total point
@@ -185,19 +216,14 @@ def merge(gb0, gb1, s):
       C0, NF0(gamma) = gamma is a term of no smaller monomial's NF0, so the
       vector of gamma is independent.  Hence a degree with no candidate in
       both is all standard, and NF0 is computed only inside C0.
-    - The enumeration misses no candidate: the degree-d divisors of a
-      degree-(d+1) monomial that no corner divides are standard, so it is a
-      one-variable multiple of a standard monomial of degree d.
     - A candidate is independent iff it is standard: a smaller
       non-candidate leads an element of the intersection, so by induction
       its vector lies in the span of those of the smaller standard
       monomials.  So every tail lies on standard monomials, and the result
       is the unique reduced basis.
 
-    Enumeration stops once the standard-monomial count is constant over two
-    consecutive degrees at a value not exceeding the lower degree and no
-    corner lies beyond it (Macaulay growth makes the count persist); the
-    stabilized count must equal s."""
+    The degrees and their candidates come from standard_walk, which stops
+    once the standard-monomial count persists; that count must equal s."""
     if gb0.order != DEGLEX or gb1.order != DEGLEX:
         raise ValueError("merge needs deglex bases")
     if gb1.is_unit():
@@ -210,13 +236,11 @@ def merge(gb0, gb1, s):
     if gb1.arity != m:
         raise ValueError("arity mismatch: %d vs %d" % (m, gb1.arity))
     sides = ((gb0.elements, staircase_of(gb0)), (gb1.elements, staircase_of(gb1)))
-    key = order_key(DEGLEX)
     corners = []
     elements = []
-    candidates = [(0,) * m]
-    prev = None  # standard-monomial count of the previous degree
-    d = 0
-    while True:
+    for d, candidates in standard_walk(m, corners):
+        if d > 4 * s + 8:
+            raise RuntimeError("merge failed to stabilize by degree %d" % d)
         standard = candidates
         if any(all(st.contains(g) for _, st in sides) for g in candidates):
             vecs = []
@@ -238,22 +262,11 @@ def merge(gb0, gb1, s):
                 else:
                     elements.append(Polynomial(m, [(gamma, 1)] + [(e, -c) for e, c in zip(standard, coeffs)]))
                     corners.append(gamma)
-        c = len(standard)
-        if c == prev:
-            max_corner = max((total_degree(b) for b in corners), default=0)
-            if max_corner <= d - 1 and c <= d - 1:
-                if c != s:
-                    raise ValueError(
-                        "merged staircase stabilizes at %d standard monomials per degree, "
-                        "expected %d; the merged point sets are inconsistent" % (c, s)
-                    )
-                break
-        prev = c
-        d += 1
-        if d > 4 * s + 8:
-            raise RuntimeError("merge failed to stabilize by degree %d" % d)
-        border = {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(m)}
-        candidates = sorted((e for e in border if not any(exp_divides(b, e) for b in corners)), key=key)
+    if len(standard) != s:
+        raise ValueError(
+            "merged staircase stabilizes at %d standard monomials per degree, "
+            "expected %d; the merged point sets are inconsistent" % (len(standard), s)
+        )
     # corners were found in increasing deglex order
     return GroebnerBasis(DEGLEX, tuple(elements))
 
@@ -337,8 +350,12 @@ def axis_census(stair):
 
 def hilbert_function(pointset, d):
     """Rank of the evaluation matrix of all degree-d monomials at the
-    normalized representatives; the degree-d Hilbert function of the
-    homogeneous coordinate ring."""
+    points; the degree-d Hilbert function of the homogeneous coordinate
+    ring.
+
+    The row of a point p is taken at its integer vector q*p, q the lcm of
+    p's denominators.  That scales the row by q^d, which leaves the rank
+    unchanged and hands the kernel plain ints."""
     if pointset.mode != PROJECTIVE:
         raise ValueError("hilbert_function needs a projective point set")
     if d < 0:
@@ -346,7 +363,9 @@ def hilbert_function(pointset, d):
     monos = list(monomials_of_degree(pointset.dimension + 1, d))
     ech = Echelon()
     for p in pointset.points:
-        ech.add([monomial_value(e, p) for e in monos])
+        q = lcm(*(x.denominator for x in p))
+        v = [x.numerator * (q // x.denominator) for x in p]
+        ech.add([prod(map(pow, v, e)) for e in monos])
     return ech.rank
 
 
@@ -394,8 +413,15 @@ def _kept_pairs(leads, order):
             yield i, j
 
 
-def _certify_core(gb, pointset, arity, order, homogeneous):
-    """Reasons from the checks certify and affine_certify share, in order."""
+def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
+    """Reasons from the checks certify and affine_certify share, in order.
+
+    After the arity, element, vanishing and autoreducedness checks pass,
+    count_reason() compares the staircase with the points; it returns None
+    only when that proves gb to be the reduced basis, and then no S-pair is
+    reduced.  Otherwise the S-pairs are reduced: their reasons come first,
+    and the comparison's reason stands only if every pair reduces to
+    zero."""
     elements = gb.elements
     mismatched = [g.arity for g in elements if g.arity != arity]
     if mismatched:
@@ -422,13 +448,18 @@ def _certify_core(gb, pointset, arity, order, homogeneous):
             lh = h.leading(order)[0]
             if any(exp_divides(lh, e) for e in g.terms):
                 reasons.append("element %d is reducible by element %d" % (i, j))
+    if reasons:
+        return reasons
+    reason = count_reason()
+    if reason is None:
+        return []
 
     def fails(i, j):
         return not normal_form(s_polynomial(elements[i], elements[j], order), elements, order).is_zero()
 
-    if reasons or not any(fails(i, j) for i, j in _kept_pairs([g.leading(order)[0] for g in elements], order)):
-        return reasons
-    # rejected: reduce every pair, so that the reasons name each failing one
+    if not any(fails(i, j) for i, j in _kept_pairs([g.leading(order)[0] for g in elements], order)):
+        return [reason]
+    # not a Groebner basis: reduce every pair, so that the reasons name each failing one
     return [
         "S-polynomial of elements %d and %d does not reduce to zero" % (i, j)
         for i in range(len(elements))
@@ -439,49 +470,64 @@ def _certify_core(gb, pointset, arity, order, homogeneous):
 
 def certify(gb, pointset):
     """Certificate that gb is the reduced deglex basis of the vanishing
-    ideal of the point set.
+    ideal I of the point set.
 
     Checks: every element homogeneous, monic and vanishing at every point;
-    autoreducedness; every S-polynomial reduces to zero; and the staircase
-    standard-monomial counts match the Hilbert function degree by degree
-    until both stabilize at the point count."""
-    s = len(pointset.points)
+    autoreducedness; and the standard-monomial counts of J = <in(gb)> match
+    the Hilbert function H of I degree by degree, walked by standard_walk
+    until its stop rule holds.  These prove the claim with no S-pair:
+
+    - Every element vanishes, so <gb> lies in I and J lies in in(I).  Hence
+      J's count is at least H(d) in every degree, with equality in every
+      degree iff J = in(I), that is iff gb is a Groebner basis of I; monic
+      and autoreduced, it is then the reduced one.
+    - The walk stops after a degree d whose count c equals that of d-1,
+      with c <= d-1 and no corner of J beyond degree d-1.  Macaulay's bound
+      gives c^<d-1> = c, so by Gotzmann's persistence theorem J's count is c
+      in every degree from d-1 on.  H never decreases, is at most J's
+      count, and equals c at d, so it is c from d on as well: the counts
+      agree in every degree.
+    - If the counts always agree, H stays at s from some degree on, and
+      the stop rule holds by degree max(s, max corner degree) + 1; so the
+      comparison ends, with a verdict, after finitely many degrees.
+
+    A basis that fails the comparison is rejected; only then are its
+    S-pairs reduced (kept pairs first, every pair if one fails), so that
+    each reason names a failing check.  Past the degree where H reaches s
+    no rank is computed."""
     m = pointset.dimension + 1
-    reasons = _certify_core(gb, pointset, m, DEGLEX, homogeneous=True)
-    if not reasons:
-        stair = staircase_of(gb) if gb.elements else Staircase(m, ())
-        max_deg = stair.max_corner_degree()
-        last = 4 * max(s, 1) + max_deg + 8
-        stable = 0
-        for d, hf in zip(range(last + 1), hilbert_values(pointset)):
-            std = stair.standard_count(d)
-            if std != hf:
-                reasons.append("degree %d: %d standard monomials but Hilbert function %d" % (d, std, hf))
-                break
-            stable = stable + 1 if std == s else 0
-            if d >= max_deg + 1 and stable >= 2:
-                break
-        else:
-            reasons.append("Hilbert comparison failed to stabilize by degree %d" % (last + 1))
+
+    def hilbert_reason():
+        walk = standard_walk(m, list(gb.leading_exponents()))
+        for (d, standard), hf in zip(walk, hilbert_values(pointset)):
+            if len(standard) != hf:
+                return "degree %d: %d standard monomials but Hilbert function %d" % (d, len(standard), hf)
+        return None
+
+    reasons = _certify_core(gb, pointset, m, DEGLEX, homogeneous=True, count_reason=hilbert_reason)
     return CertReport(not reasons, tuple(reasons))
 
 
 def affine_certify(gb, pointset):
-    """Affine analogue of certify: vanishing, autoreducedness, Buchberger's
-    criterion, and a finite staircase complement of size equal to the point
-    count."""
+    """Affine analogue of certify: vanishing, autoreducedness, and a finite
+    staircase complement of size equal to the point count s.
+
+    These prove gb to be the reduced basis of the vanishing ideal I with no
+    S-pair: <gb> lies in I, so J = <in(gb)> lies in in(I), which has exactly
+    s standard monomials; J has s as well, so J = in(I).  A basis that fails
+    is rejected; only then are its S-pairs reduced, as in certify."""
     s = len(pointset.points)
-    reasons = _certify_core(gb, pointset, pointset.dimension, gb.order, homogeneous=False)
-    if not reasons:
+
+    def colength_reason():
         if not gb.elements:
-            reasons.append("zero ideal cannot be the ideal of a finite point set")
-        else:
-            stair = staircase_of(gb)
-            try:
-                std = stair.standard_monomials()
-            except ValueError:
-                reasons.append("staircase complement is infinite")
-            else:
-                if len(std) != s:
-                    reasons.append("%d standard monomials but %d points" % (len(std), s))
+            return "zero ideal cannot be the ideal of a finite point set"
+        try:
+            std = staircase_of(gb).standard_monomials()
+        except ValueError:
+            return "staircase complement is infinite"
+        return None if len(std) == s else "%d standard monomials but %d points" % (len(std), s)
+
+    reasons = _certify_core(
+        gb, pointset, pointset.dimension, gb.order, homogeneous=False, count_reason=colength_reason
+    )
     return CertReport(not reasons, tuple(reasons))

@@ -4,27 +4,37 @@ test suite.
 Coordinates are rationals p/q with |p| <= 5 and q <= 3 so exact
 arithmetic stays cheap while still exercising non-integer points.  The
 references are the straightforward versions of faster library code: a
-dense Gauss-Jordan rref, the echelon kernel on Fraction rows, the normal
-form and certificates that rebuild the remainder on every step and reduce
-every S-pair, and the merge that solves one linear system per candidate.
+dense Gauss-Jordan rref, the echelon kernel on Fraction rows, the Hilbert
+function on Fraction rows, the normal form and certificates that rebuild
+the remainder on every step and reduce every S-pair, and the merge that
+solves one linear system per candidate.
 """
 
 from fractions import Fraction
 
 from pointideals import (
     DEGLEX,
+    PROJECTIVE,
     CertReport,
     GroebnerBasis,
     Polynomial,
     Staircase,
     affine_points,
     evaluate,
-    hilbert_function,
     projective_points,
     s_polynomial,
     staircase_of,
 )
-from pointideals.poly import exp_divides, exp_sub, monomials_of_degree, normal_form, order_key, total_degree
+from pointideals.linalg import Echelon
+from pointideals.poly import (
+    exp_divides,
+    exp_sub,
+    monomial_value,
+    monomials_of_degree,
+    normal_form,
+    order_key,
+    total_degree,
+)
 
 
 def random_fraction(rng):
@@ -170,6 +180,26 @@ class ReferenceEchelon:
 
 
 # ---------------------------------------------------------------------------
+# the Hilbert function on Fraction rows: the differential reference of the
+# one on integer point vectors
+
+
+def reference_hilbert_function(pointset, d):
+    """Rank of the evaluation matrix of all degree-d monomials at the
+    normalized representatives; the degree-d Hilbert function of the
+    homogeneous coordinate ring."""
+    if pointset.mode != PROJECTIVE:
+        raise ValueError("hilbert_function needs a projective point set")
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    monos = list(monomials_of_degree(pointset.dimension + 1, d))
+    ech = Echelon()
+    for p in pointset.points:
+        ech.add([monomial_value(e, p) for e in monos])
+    return ech.rank
+
+
+# ---------------------------------------------------------------------------
 # the certificate and normal form as first written: the differential
 # references of the faster single-pass normal form and the pruned S-pair
 # certificate
@@ -254,7 +284,7 @@ def reference_certify(gb, pointset):
         max_deg = stair.max_corner_degree()
         while True:
             std = stair.standard_count(d)
-            hf = hilbert_function(pointset, d) if pointset.points else 0
+            hf = reference_hilbert_function(pointset, d) if pointset.points else 0
             if std != hf:
                 reasons.append(
                     "degree %d: %d standard monomials but Hilbert function %d" % (d, std, hf)

@@ -245,3 +245,16 @@ def test_internal_failure_exits_3(write, capsys, monkeypatch, error):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == "internal error: %s\n" % error
+
+
+@pytest.mark.parametrize(
+    "points, basis, reason",
+    [
+        (P2_PARABOLA, {"order": "deglex", "variables": 0, "basis": []}, "basis arity 0 does not match ambient 3"),
+        (AFF_ONE, {"order": "lex", "variables": 5, "basis": []}, "basis arity 5 does not match ambient 2"),
+    ],
+)
+def test_verify_empty_basis_of_another_arity_exits_1(write, capsys, points, basis, reason):
+    code, out, _ = run(capsys, "verify", write("p.json", points), write("b.json", basis))
+    assert code == EXIT_VERIFY
+    assert out == io.dumps({"passed": False, "reasons": [reason]})

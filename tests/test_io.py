@@ -71,15 +71,16 @@ def test_basis_roundtrip_affine():
     ps = affine_points(2, [[1, 2], [3, Fraction(1, 2)]])
     gb, _, _ = buchberger_moeller(ps, LEX)
     doc = basis_doc(gb, first_var=2)
-    back, first_var = parse_basis(dumps(doc))
+    back, first_var, variables = parse_basis(dumps(doc))
     assert back == gb
     assert first_var == 2
+    assert variables == 2
 
 
 def test_basis_roundtrip_projective():
     ps = projective_points(1, [[1, 0], [1, 1], [0, 1]])
     gb = projective_gb(ps)
-    back, _ = parse_basis(dumps(basis_doc(gb)))
+    back, _, _ = parse_basis(dumps(basis_doc(gb)))
     assert back == gb
 
 

@@ -14,6 +14,7 @@ from helpers import (
     random_projective,
     reference_affine_certify,
     reference_certify,
+    reference_hilbert_function,
     reference_merge,
 )
 from pointideals import (
@@ -37,8 +38,8 @@ from pointideals import (
     staircase_of,
     unit_basis,
 )
-from pointideals.poly import LEX
-from pointideals.projective import hilbert_values
+from pointideals.poly import LEX, order_key, s_polynomial
+from pointideals.projective import hilbert_values, standard_walk
 
 P1_THREE = [[1, 0], [1, 1], [0, 1]]
 P2_COORD = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -257,6 +258,27 @@ def test_hilbert_values_match_hilbert_function():
         assert list(islice(hilbert_values(ps), s + 3)) == expected
 
 
+def test_hilbert_function_matches_reference():
+    # heights and denominators up to 10^3, points at infinity, the empty set
+    rng = random.Random(1013)
+    for s in [0] + [rng.randint(1, 7) for _ in range(24)]:
+        n = rng.randint(1, 3)
+        h, q = rng.choice([(1000, 1), (1, 1000), (1000, 1000)])
+        rows = set()
+        while len(rows) < s:
+            row = tuple(Fraction(rng.randint(-h, h), rng.randint(1, q)) for _ in range(n + 1))
+            if rng.random() < 0.3:
+                row = (Fraction(0),) + row[1:]
+            if any(row):
+                rows.add(tuple(x / next(x for x in row if x) for x in row))
+        ps = projective_points(n, [list(r) for r in sorted(rows)])
+        for d in range(s + 3):
+            assert hilbert_function(ps, d) == reference_hilbert_function(ps, d)
+    # equal numerators, distinct points: the denominators must count
+    ps = projective_points(1, [[1, Fraction(1, k)] for k in (2, 3, 5)])
+    assert [hilbert_function(ps, d) for d in range(4)] == [1, 2, 3, 3]
+
+
 def test_empty_set_is_unit_ideal():
     assert projective_gb(projective_points(2, [])).is_unit()
 
@@ -329,6 +351,52 @@ def test_certify_rejects_inhomogeneous_element():
     report = certify(GroebnerBasis(DEGLEX, (bad,)), ps)
     assert not report.passed
     assert any("homogeneous" in r for r in report.reasons)
+
+
+def test_standard_walk_does_not_stop_at_a_false_plateau():
+    # J = (X1*X3^2, X1^3, X1*X2*X3) has standard counts 1, 3, 6, 7, 7, 8, 9:
+    # equal at degrees 3 and 4, beyond every corner, but 7 > 3, so no stop
+    corners = [(1, 0, 2), (3, 0, 0), (1, 1, 1)]
+    counts = [len(std) for _, std in islice(standard_walk(3, corners), 7)]
+    assert counts == [1, 3, 6, 7, 7, 8, 9]
+
+
+def test_standard_walk_takes_corners_found_on_the_way():
+    # merge appends X2^2 when it meets it at degree 2: the counts are then
+    # 1, 2, 2, 2, and the walk ends after degree 3, not with X2^2 counted
+    corners = []
+    degrees = []
+    for d, candidates in standard_walk(2, corners):
+        degrees.append(d)
+        if d == 2:
+            assert (0, 2) in candidates
+            corners.append((0, 2))
+    assert degrees == [0, 1, 2, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_standard_walk_matches_standard_count(seed):
+    rng = random.Random(seed)
+    arity = rng.randint(1, 4)
+    kind = rng.random()
+    if kind < 0.1:
+        corners = []
+    elif kind < 0.2:
+        corners = [(0,) * arity]  # the unit ideal
+    else:
+        corners = [
+            tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(rng.randint(1, 5))
+        ]
+    stair = Staircase(arity, tuple(corners))
+    counts = []
+    for d, std in islice(standard_walk(arity, list(corners)), 12):
+        assert len(std) == stair.standard_count(d)
+        assert std == sorted(std, key=order_key(DEGLEX))
+        counts.append(len(std))
+    if len(counts) < 12:  # the walk stopped: its last count persists
+        d = len(counts) - 1
+        assert all(stair.standard_count(e) == counts[-1] for e in range(d + 1, d + 6))
 
 
 # ---------------------------------------------------------------------------
@@ -450,3 +518,51 @@ def test_affine_certify_matches_reference():
                 assert report == reference_affine_certify(cand, points)
                 spair_rejects += any(r.startswith("S-polynomial") for r in report.reasons)
     assert spair_rejects > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_certificates_match_reference_on_random_candidates(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        n = rng.randint(1, 3)
+        s = rng.randint(1, 6)
+        ps = random_projective(rng, n, s) if rng.random() < 0.5 else _with_points_at_infinity(rng, n, s)
+        other = random_projective(rng, n, s)
+        for gb, points in _candidates(projective_gb(ps), ps, other, rng):
+            assert certify(gb, points) == reference_certify(gb, points)
+    else:
+        n = rng.randint(2, 3)
+        s = rng.randint(1, 7)
+        ps = random_affine(rng, n, s)
+        other = random_affine(rng, n, s)
+        gb = buchberger_moeller(ps, rng.choice([LEX, DEGLEX]))[0]
+        for cand, points in _candidates(gb, ps, other, rng):
+            assert affine_certify(cand, points) == reference_affine_certify(cand, points)
+
+
+def test_accepted_bases_reduce_no_s_pair(monkeypatch):
+    pairs = []
+
+    def counted(f, g, order):
+        pairs.append((f, g))
+        return s_polynomial(f, g, order)
+
+    monkeypatch.setattr("pointideals.projective.s_polynomial", counted)
+    rng = random.Random(77)
+    for _ in range(8):
+        ps = random_projective(rng, rng.randint(1, 3), rng.randint(2, 7))
+        assert certify(projective_gb(ps), ps).passed
+        aff = random_affine(rng, rng.randint(2, 3), rng.randint(2, 7))
+        for order in (LEX, DEGLEX):
+            assert affine_certify(buchberger_moeller(aff, order)[0], aff).passed
+    assert pairs == []
+    # a dropped-element basis is rejected, and then every pair is reduced
+    ps = projective_points(2, [[1, 0, 0], [1, 1, 1], [1, 2, 4], [0, 0, 1]])
+    dropped = GroebnerBasis(DEGLEX, projective_gb(ps).elements[:-1])
+    report = certify(dropped, ps)
+    assert report == reference_certify(dropped, ps)
+    assert any(r.startswith("S-polynomial") for r in report.reasons)
+    k = len(dropped.elements)
+    reduced = {(dropped.elements.index(f), dropped.elements.index(g)) for f, g in pairs}
+    assert {(i, j) for j in range(k) for i in range(j)} <= reduced
