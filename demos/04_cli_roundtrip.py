@@ -2,7 +2,10 @@
 
 Writes a point-set document, computes its basis through the CLI, then
 feeds the emitted basis back into the verify command: the tool's own
-output re-certifies byte-for-byte.
+output re-certifies byte-for-byte.  Finally compare-orders counts the
+axes of the deglex and the degrevlex staircase; both totals equal the
+number of points.  A nonzero exit code of verify or compare-orders ends
+the demo with that code.
 """
 
 import json
@@ -42,3 +45,11 @@ with tempfile.TemporaryDirectory() as tmp:
     print("\n$ pointideals verify points.json basis.json --output text")
     code = main(["verify", str(points), str(basis), "--output", "text"])
     print("exit code:", code)
+    if code != 0:
+        raise SystemExit(code)
+
+    print("\n$ pointideals compare-orders points.json --output text")
+    code = main(["compare-orders", str(points), "--output", "text"])
+    print("exit code:", code)
+    if code != 0:
+        raise SystemExit(code)

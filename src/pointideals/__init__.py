@@ -23,7 +23,6 @@ from .poly import (
     LEX,
     GroebnerBasis,
     Polynomial,
-    buchberger,
     dehomogenize,
     evaluate,
     homogenize,
@@ -42,6 +41,7 @@ from .projective import (
     hilbert_function,
     lift_infinite_part,
     merge,
+    projective_bm,
     projective_gb,
     split_charts,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "buchberger_moeller",
     "canonical_element",
     "staircase_of",
-    "buchberger",
     "normal_form",
     "s_polynomial",
     "evaluate",
@@ -76,6 +75,7 @@ __all__ = [
     "cone_basis",
     "lift_infinite_part",
     "merge",
+    "projective_bm",
     "projective_gb",
     "split_charts",
     "axis_census",

@@ -103,9 +103,6 @@ class Staircase:
             raise ValueError("exponent %r does not match arity %d" % (exp, self.arity))
         return any(exp_divides(b, exp) for b in self.corners)
 
-    def membership(self, exp):
-        return "in_C" if self.contains(exp) else "in_D"
-
     def standard_count(self, degree):
         """Number of degree-d standard monomials."""
         return sum(1 for e in monomials_of_degree(self.arity, degree) if not self.contains(e))

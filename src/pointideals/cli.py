@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands: gb, staircase, axes, hilbert, verify, compare-orders, render.
+compare-orders takes its deglex basis from projective_gb and its degrevlex
+basis from the per-degree evaluation walk projective_bm.
 Exit codes: 0 success, 1 verification failure, 2 input or parse error, 3 internal error.
 """
 
@@ -12,13 +14,14 @@ from itertools import islice
 
 from . import io
 from .affine import AFFINE, PROJECTIVE, Staircase, buchberger_moeller, staircase_of
-from .poly import DEGLEX, DEGREVLEX, LEX, Polynomial, buchberger, poly_str
+from .poly import DEGLEX, DEGREVLEX, LEX, Polynomial, poly_str
 from .projective import (
     CertReport,
     affine_certify,
     axis_census,
     certify,
     hilbert_values,
+    projective_bm,
     projective_gb,
     split_charts,
 )
@@ -181,7 +184,7 @@ def cmd_verify(args, ps):
 def cmd_compare_orders(args, ps):
     m = ps.dimension + 1
     gb_deglex = projective_gb(ps)
-    gb_revlex = gb_deglex if gb_deglex.is_zero_ideal() else buchberger(gb_deglex.elements, DEGREVLEX)
+    gb_revlex = projective_bm(ps, DEGREVLEX)
     census_deglex = axis_census(_staircase(gb_deglex, m))
     census_revlex = axis_census(_staircase(gb_revlex, m))
     matches = census_deglex.total == census_revlex.total == len(ps.points)

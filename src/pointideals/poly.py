@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over Q, term orders, and Buchberger's algorithm.
+"""Sparse multivariate polynomials over Q, term orders, division and S-polynomials.
 
 Variable convention, fixed for the whole package: index 0 of an exponent
 vector is the smallest variable.  In the full ring of a projective problem
@@ -252,7 +252,7 @@ def dehomogenize(h):
 
 
 # ---------------------------------------------------------------------------
-# division, S-polynomials, Buchberger
+# division and S-polynomials
 
 def normal_form(f, divisors, order):
     """Remainder of f on division by the listed divisors.
@@ -340,55 +340,6 @@ class GroebnerBasis:
 
 def unit_basis(arity, order=DEGLEX):
     return GroebnerBasis(order, (Polynomial.constant(arity, 1),))
-
-
-def _autoreduce(basis, order):
-    """Minimalize and tail-reduce a basis whose S-pairs all reduce to zero."""
-    key = order_key(order)
-    basis = sorted((g.monic(order) for g in basis), key=lambda g: key(g.leading(order)[0]))
-    minimal = []
-    for g in basis:
-        le = g.leading(order)[0]
-        if not any(exp_divides(h.leading(order)[0], le) for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        # minimality keeps each leading term, so the order is kept too
-        reduced.append(normal_form(g, others, order).monic(order) if others else g)
-    return tuple(reduced)
-
-
-def buchberger(gens, order):
-    """Reduced Groebner basis of the ideal generated by gens.
-
-    Pair selection: smallest lcm of leading monomials under the active
-    order first.  Pairs with coprime leading monomials are discarded.
-    """
-    polys = [g for g in gens if not g.is_zero()]
-    if not polys:
-        raise ValueError("all generators are zero")
-    key = order_key(order)
-    basis = []
-    for g in polys:
-        g = g.monic(order)
-        if g not in basis:
-            basis.append(g)
-    leads = [g.leading(order)[0] for g in basis]
-    pairs = [(key(exp_lcm(leads[i], leads[j])), i, j) for j in range(len(basis)) for i in range(j)]
-    heapq.heapify(pairs)
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        if exp_lcm(leads[i], leads[j]) == exp_add(leads[i], leads[j]):
-            continue
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if not r.is_zero():
-            basis.append(r.monic(order))
-            leads.append(r.leading(order)[0])
-            k = len(basis) - 1
-            for i2 in range(k):
-                heapq.heappush(pairs, (key(exp_lcm(leads[i2], leads[k])), i2, k))
-    return GroebnerBasis(order, _autoreduce(basis, order))
 
 
 # ---------------------------------------------------------------------------

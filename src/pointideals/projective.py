@@ -4,11 +4,14 @@ A projective point set is split into charts by the index of the first
 nonzero coordinate.  The deglex basis of the cone over the finite chart is
 built from the lex basis of the affine chart by homogenization
 (cone_basis); the hyperplane-at-infinity part is lifted, and the two bases
-are merged degree by degree into the basis of the union.  The result is
-certified independently: a basis whose elements vanish and whose staircase
-counts match the Hilbert function (evaluation-matrix ranks on integer point
-vectors) is accepted without S-pairs; any other basis is rejected, and only
-then are its S-pairs reduced, so that the reasons name each failing check.
+are merged degree by degree into the basis of the union.  The same
+per-degree kernel, fed evaluation vectors at the points, gives the deglex
+or degrevlex basis directly (projective_bm).  The chart recursion's result
+is certified independently: a basis whose elements vanish and whose
+staircase counts match the Hilbert function (evaluation-matrix ranks on
+integer point vectors) is accepted without S-pairs; any other basis is
+rejected, and only then are its S-pairs reduced, so that the reasons name
+each failing check.
 """
 
 from __future__ import annotations
@@ -28,12 +31,11 @@ from .affine import (
 from .linalg import Echelon
 from .poly import (
     DEGLEX,
+    DEGREVLEX,
     LEX,
     GroebnerBasis,
     Polynomial,
-    exp_add,
     exp_divides,
-    exp_lcm,
     homogenize,
     monomial_value,
     monomials_of_degree,
@@ -171,20 +173,20 @@ def lift_infinite_part(gb_sub):
 # ---------------------------------------------------------------------------
 # merging
 
-def standard_walk(arity, corners):
+def standard_walk(arity, corners, order):
     """Walk the standard monomials of the monomial ideal generated by
     `corners` degree by degree, and stop once their count persists.
 
     Yields (d, candidates) for d = 0, 1, ...: the unit monomial, then the
     one-variable multiples of degree d-1's standard monomials that no corner
-    divides, in increasing deglex order.  Every standard monomial is a
-    candidate, as its divisors are standard.  The caller may append corners
-    of degree d to `corners` before resuming; those candidates are then not
-    standard.  The walk ends after a degree d whose standard count c equals
-    that of d-1, with c <= d-1 and no corner beyond degree d-1: then
-    Macaulay's bound is c^<d-1> = c, so by Gotzmann's persistence theorem
-    the count is c in every higher degree."""
-    key = order_key(DEGLEX)
+    divides, in increasing order (the only use of `order`).  Every standard
+    monomial is a candidate, as its divisors are standard.  The caller may
+    append corners of degree d to `corners` before resuming; those
+    candidates are then not standard.  The walk ends after a degree d whose
+    standard count c equals that of d-1, with c <= d-1 and no corner beyond
+    degree d-1: then Macaulay's bound is c^<d-1> = c, so by Gotzmann's
+    persistence theorem the count is c in every higher degree."""
+    key = order_key(order)
     border = {(0,) * arity}
     prev = None  # standard count of the previous degree
     for d in count():
@@ -200,30 +202,72 @@ def standard_walk(arity, corners):
         border = {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(arity)}
 
 
+def _integer_vector(p):
+    """q*p, q the lcm of p's denominators: the same projective point, in ints."""
+    q = lcm(*(x.denominator for x in p))
+    return [x.numerator * (q // x.denominator) for x in p]
+
+
+def _degree_kernel(arity, order, s, rows):
+    """Reduced basis, in `order`, of the homogeneous ideal I whose degree-d
+    part is the kernel of a linear map v_d, walked by standard_walk.
+
+    rows(candidates) gives the vectors v_d(gamma) of one degree's
+    candidates, or None if none of them can lead an element of I.  The
+    vectors go to one Echelon in increasing order; a candidate whose vector
+    depends on those kept before it is a corner gamma, with element
+    gamma - sum(c_k * kept_k).
+
+    - A candidate is independent iff it is standard.  A smaller monomial
+      of degree d that is not a candidate is a multiple of a corner, so it
+      leads an element of I, and by induction its vector lies in the span
+      of those of the smaller standard monomials.  So the kept candidates
+      span what all smaller monomials span, every tail lies on standard
+      monomials, and the result is the unique reduced basis.
+    - Every standard monomial is a candidate, so the walk's counts are the
+      standard counts of in(I), and its stop rule (Gotzmann) ends the walk
+      once they persist; that count must equal the point count s.
+
+    The errors name merge: for projective_bm the counts are the Hilbert
+    function, which reaches s, and the walk stops by degree s + 1."""
+    corners = []
+    elements = []
+    for d, candidates in standard_walk(arity, corners, order):
+        if d > 4 * s + 8:
+            raise RuntimeError("merge failed to stabilize by degree %d" % d)
+        vecs = rows(candidates)
+        standard = candidates
+        if vecs is not None:
+            ech = Echelon()
+            standard = []
+            for gamma, vec in zip(candidates, vecs):
+                coeffs = ech.add(vec)
+                if coeffs is None:
+                    standard.append(gamma)
+                else:
+                    elements.append(Polynomial(arity, [(gamma, 1)] + [(e, -c) for e, c in zip(standard, coeffs)]))
+                    corners.append(gamma)
+    if len(standard) != s:
+        raise ValueError(
+            "merged staircase stabilizes at %d standard monomials per degree, "
+            "expected %d; the merged point sets are inconsistent" % (len(standard), s)
+        )
+    # corners were found degree by degree in increasing order
+    return GroebnerBasis(order, tuple(elements))
+
+
 def merge(gb0, gb1, s):
     """Reduced deglex basis of the intersection of two homogeneous
     vanishing ideals, given their reduced deglex bases and the total point
     count s.
 
     The degree-d part of the intersection is the kernel of the linear map
-    f -> (NF0(f), NF1(f)) to the normal forms modulo gb0 and gb1.  The
-    candidates of degree d go to one Echelon in increasing deglex order as
-    vectors keyed by (side, exponent); a candidate whose vector depends on
-    those kept before it is a corner gamma, with element
-    gamma - sum(c_k * kept_k).
-
-    - A corner lies in C0 and C1, the staircases of gb0 and gb1: outside
-      C0, NF0(gamma) = gamma is a term of no smaller monomial's NF0, so the
-      vector of gamma is independent.  Hence a degree with no candidate in
-      both is all standard, and NF0 is computed only inside C0.
-    - A candidate is independent iff it is standard: a smaller
-      non-candidate leads an element of the intersection, so by induction
-      its vector lies in the span of those of the smaller standard
-      monomials.  So every tail lies on standard monomials, and the result
-      is the unique reduced basis.
-
-    The degrees and their candidates come from standard_walk, which stops
-    once the standard-monomial count persists; that count must equal s."""
+    f -> (NF0(f), NF1(f)) to the normal forms modulo gb0 and gb1, walked by
+    _degree_kernel with vectors keyed by (side, exponent).  A corner lies in
+    C0 and C1, the staircases of gb0 and gb1: outside C0, NF0(gamma) = gamma
+    is a term of no smaller monomial's NF0, so the vector of gamma is
+    independent.  Hence a degree with no candidate in both is all standard,
+    and NF0 is computed only inside C0."""
     if gb0.order != DEGLEX or gb1.order != DEGLEX:
         raise ValueError("merge needs deglex bases")
     if gb1.is_unit():
@@ -236,39 +280,44 @@ def merge(gb0, gb1, s):
     if gb1.arity != m:
         raise ValueError("arity mismatch: %d vs %d" % (m, gb1.arity))
     sides = ((gb0.elements, staircase_of(gb0)), (gb1.elements, staircase_of(gb1)))
-    corners = []
-    elements = []
-    for d, candidates in standard_walk(m, corners):
-        if d > 4 * s + 8:
-            raise RuntimeError("merge failed to stabilize by degree %d" % d)
-        standard = candidates
-        if any(all(st.contains(g) for _, st in sides) for g in candidates):
-            vecs = []
-            for gamma in candidates:
-                vec = {}
-                for side, (basis, st) in enumerate(sides):
-                    nf = {gamma: 1}
-                    if st.contains(gamma):
-                        nf = normal_form(Polynomial.monomial(m, gamma), basis, DEGLEX).terms
-                    vec.update(((side, e), c) for e, c in nf.items())
-                vecs.append(vec)
-            columns = sorted(set().union(*vecs))
-            ech = Echelon()
-            standard = []
-            for gamma, vec in zip(candidates, vecs):
-                coeffs = ech.add([vec.get(col, 0) for col in columns])
-                if coeffs is None:
-                    standard.append(gamma)
-                else:
-                    elements.append(Polynomial(m, [(gamma, 1)] + [(e, -c) for e, c in zip(standard, coeffs)]))
-                    corners.append(gamma)
-    if len(standard) != s:
-        raise ValueError(
-            "merged staircase stabilizes at %d standard monomials per degree, "
-            "expected %d; the merged point sets are inconsistent" % (len(standard), s)
-        )
-    # corners were found in increasing deglex order
-    return GroebnerBasis(DEGLEX, tuple(elements))
+
+    def rows(candidates):
+        if not any(all(st.contains(g) for _, st in sides) for g in candidates):
+            return None
+        vecs = []
+        for gamma in candidates:
+            vec = {}
+            for side, (basis, st) in enumerate(sides):
+                nf = {gamma: 1}
+                if st.contains(gamma):
+                    nf = normal_form(Polynomial.monomial(m, gamma), basis, DEGLEX).terms
+                vec.update(((side, e), c) for e, c in nf.items())
+            vecs.append(vec)
+        columns = sorted(set().union(*vecs))
+        return [[vec.get(col, 0) for col in columns] for vec in vecs]
+
+    return _degree_kernel(m, DEGLEX, s, rows)
+
+
+def projective_bm(pointset, order):
+    """Reduced deglex or degrevlex basis of the vanishing ideal of a
+    projective point set, by the projective Buchberger-Moeller walk.
+
+    The degree-d part of the ideal is the kernel of evaluation at the
+    points, walked by _degree_kernel.  A point p is evaluated at its integer
+    vector q*p, q the lcm of p's denominators, as in hilbert_function: that
+    scales p's entry of every degree-d vector by q^d, which leaves every
+    dependency unchanged and hands the kernel plain ints."""
+    if pointset.mode != PROJECTIVE:
+        raise ValueError("projective_bm needs a projective point set")
+    if order not in (DEGLEX, DEGREVLEX):
+        raise ValueError("projective_bm needs a degree-compatible order, got %r" % (order,))
+    vectors = [_integer_vector(p) for p in pointset.points]
+
+    def rows(candidates):
+        return [[prod(map(pow, v, gamma)) for v in vectors] for gamma in candidates]
+
+    return _degree_kernel(pointset.dimension + 1, order, len(vectors), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +412,7 @@ def hilbert_function(pointset, d):
     monos = list(monomials_of_degree(pointset.dimension + 1, d))
     ech = Echelon()
     for p in pointset.points:
-        q = lcm(*(x.denominator for x in p))
-        v = [x.numerator * (q // x.denominator) for x in p]
+        v = _integer_vector(p)
         ech.add([prod(map(pow, v, e)) for e in monos])
     return ech.rank
 
@@ -385,43 +433,15 @@ class CertReport:
     reasons: tuple
 
 
-def _kept_pairs(leads, order):
-    """Pairs (i, j), i < j, of pairwise non-dividing leading monomials in
-    increasing order of their lcm L(i, j), less the coprime ones (product
-    criterion) and those where some le_k divides L(i, j) and L(i, k), L(j, k)
-    lie strictly below L(i, j) (chain criterion).
-
-    Soundness, by induction on L(i, j), which the term order well-orders: the
-    elements are a Groebner basis iff every S(i, j) is a sum of c X^a g_l
-    with every X^a le_l < L(i, j) (Buchberger's criterion).  A pair reducing
-    to zero has such a sum by the division algorithm; so does a coprime
-    pair.  For a chain pair of monic elements, S(i, j) = L(i, j)/L(i, k) *
-    S(i, k) - L(i, j)/L(j, k) * S(j, k); both pairs on the right have a
-    smaller lcm, so have such sums by induction, and the monomial factors
-    keep every term of them below L(i, j).  So if every kept pair reduces to
-    zero, the elements are a Groebner basis, and then every S-polynomial
-    reduces to zero under any strategy."""
-    key = order_key(order)
-    pairs = sorted((key(exp_lcm(a, b)), i, j) for j, b in enumerate(leads) for i, a in enumerate(leads[:j]))
-    for _, i, j in pairs:
-        lcm = exp_lcm(leads[i], leads[j])
-        # k = i and k = j fail the test themselves, as L(i, j) = L(j, i)
-        if lcm != exp_add(leads[i], leads[j]) and not any(
-            exp_divides(c, lcm) and exp_lcm(leads[i], c) != lcm and exp_lcm(leads[j], c) != lcm
-            for c in leads
-        ):
-            yield i, j
-
-
 def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
     """Reasons from the checks certify and affine_certify share, in order.
 
     After the arity, element, vanishing and autoreducedness checks pass,
     count_reason() compares the staircase with the points; it returns None
     only when that proves gb to be the reduced basis, and then no S-pair is
-    reduced.  Otherwise the S-pairs are reduced: their reasons come first,
-    and the comparison's reason stands only if every pair reduces to
-    zero."""
+    reduced.  Otherwise every S-pair is reduced once: the failing ones are
+    the reasons, and the comparison's reason stands only if every pair
+    reduces to zero.  A zero element is reported and reduces nothing."""
     elements = gb.elements
     mismatched = [g.arity for g in elements if g.arity != arity]
     if mismatched:
@@ -443,7 +463,7 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
                 break
     for i, g in enumerate(elements):
         for j, h in enumerate(elements):
-            if i == j:
+            if i == j or h.is_zero():
                 continue
             lh = h.leading(order)[0]
             if any(exp_divides(lh, e) for e in g.terms):
@@ -453,19 +473,14 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
     reason = count_reason()
     if reason is None:
         return []
-
-    def fails(i, j):
-        return not normal_form(s_polynomial(elements[i], elements[j], order), elements, order).is_zero()
-
-    if not any(fails(i, j) for i, j in _kept_pairs([g.leading(order)[0] for g in elements], order)):
-        return [reason]
-    # not a Groebner basis: reduce every pair, so that the reasons name each failing one
-    return [
+    # not accepted: reduce every pair, so that the reasons name each failing one
+    failing = [
         "S-polynomial of elements %d and %d does not reduce to zero" % (i, j)
         for i in range(len(elements))
         for j in range(i + 1, len(elements))
-        if fails(i, j)
+        if not normal_form(s_polynomial(elements[i], elements[j], order), elements, order).is_zero()
     ]
+    return failing or [reason]
 
 
 def certify(gb, pointset):
@@ -491,14 +506,13 @@ def certify(gb, pointset):
       the stop rule holds by degree max(s, max corner degree) + 1; so the
       comparison ends, with a verdict, after finitely many degrees.
 
-    A basis that fails the comparison is rejected; only then are its
-    S-pairs reduced (kept pairs first, every pair if one fails), so that
-    each reason names a failing check.  Past the degree where H reaches s
+    A basis that fails the comparison is rejected; only then is every
+    S-pair reduced, so that each reason names a failing check.  Past the degree where H reaches s
     no rank is computed."""
     m = pointset.dimension + 1
 
     def hilbert_reason():
-        walk = standard_walk(m, list(gb.leading_exponents()))
+        walk = standard_walk(m, list(gb.leading_exponents()), DEGLEX)
         for (d, standard), hf in zip(walk, hilbert_values(pointset)):
             if len(standard) != hf:
                 return "degree %d: %d standard monomials but Hilbert function %d" % (d, len(standard), hf)

@@ -6,10 +6,12 @@ arithmetic stays cheap while still exercising non-integer points.  The
 references are the straightforward versions of faster library code: a
 dense Gauss-Jordan rref, the echelon kernel on Fraction rows, the Hilbert
 function on Fraction rows, the normal form and certificates that rebuild
-the remainder on every step and reduce every S-pair, and the merge that
-solves one linear system per candidate.
+the remainder on every step and reduce every S-pair, the merge that
+solves one linear system per candidate, and Buchberger's algorithm, the
+reference of the per-degree evaluation walk in any degree order.
 """
 
+import heapq
 from fractions import Fraction
 
 from pointideals import (
@@ -27,7 +29,9 @@ from pointideals import (
 )
 from pointideals.linalg import Echelon
 from pointideals.poly import (
+    exp_add,
     exp_divides,
+    exp_lcm,
     exp_sub,
     monomial_value,
     monomials_of_degree,
@@ -449,3 +453,57 @@ def reference_merge(gb0, gb1, s):
             raise RuntimeError("merge failed to stabilize by degree %d" % d)
     elements.sort(key=lambda g: key(g.leading(DEGLEX)[0]))
     return GroebnerBasis(DEGLEX, tuple(elements))
+
+
+# ---------------------------------------------------------------------------
+# Buchberger's algorithm with autoreduction: the reference of projective_bm,
+# and of the reduced basis of any generating set
+
+
+def _autoreduce(basis, order):
+    """Minimalize and tail-reduce a basis whose S-pairs all reduce to zero."""
+    key = order_key(order)
+    basis = sorted((g.monic(order) for g in basis), key=lambda g: key(g.leading(order)[0]))
+    minimal = []
+    for g in basis:
+        le = g.leading(order)[0]
+        if not any(exp_divides(h.leading(order)[0], le) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for i, g in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1 :]
+        # minimality keeps each leading term, so the order is kept too
+        reduced.append(normal_form(g, others, order).monic(order) if others else g)
+    return tuple(reduced)
+
+
+def buchberger(gens, order):
+    """Reduced Groebner basis of the ideal generated by gens.
+
+    Pair selection: smallest lcm of leading monomials under the active
+    order first.  Pairs with coprime leading monomials are discarded.
+    """
+    polys = [g for g in gens if not g.is_zero()]
+    if not polys:
+        raise ValueError("all generators are zero")
+    key = order_key(order)
+    basis = []
+    for g in polys:
+        g = g.monic(order)
+        if g not in basis:
+            basis.append(g)
+    leads = [g.leading(order)[0] for g in basis]
+    pairs = [(key(exp_lcm(leads[i], leads[j])), i, j) for j in range(len(basis)) for i in range(j)]
+    heapq.heapify(pairs)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        if exp_lcm(leads[i], leads[j]) == exp_add(leads[i], leads[j]):
+            continue
+        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        if not r.is_zero():
+            basis.append(r.monic(order))
+            leads.append(r.leading(order)[0])
+            k = len(basis) - 1
+            for i2 in range(k):
+                heapq.heappush(pairs, (key(exp_lcm(leads[i2], leads[k])), i2, k))
+    return GroebnerBasis(order, _autoreduce(basis, order))

@@ -11,7 +11,7 @@ import json
 import random
 from fractions import Fraction
 
-from helpers import random_affine, random_projective
+from helpers import buchberger, random_affine, random_projective
 from pointideals import (
     DEGLEX,
     DEGREVLEX,
@@ -21,7 +21,6 @@ from pointideals import (
     Staircase,
     cone_basis,
     axis_census,
-    buchberger,
     buchberger_moeller,
     certify,
     dehomogenize,

@@ -258,3 +258,12 @@ def test_verify_empty_basis_of_another_arity_exits_1(write, capsys, points, basi
     code, out, _ = run(capsys, "verify", write("p.json", points), write("b.json", basis))
     assert code == EXIT_VERIFY
     assert out == io.dumps({"passed": False, "reasons": [reason]})
+
+
+def test_verify_zero_element_exits_1_with_reasons(write, capsys):
+    points = write("p.json", {"space": "projective", "dim": 1, "points": [["1", "2"]]})
+    basis = write("b.json", {"order": "deglex", "variables": 2, "basis": [[], [[[1, 0], "1"]]]})
+    code, out, err = run(capsys, "verify", points, basis, "--output", "text")
+    assert code == EXIT_VERIFY
+    assert out == "passed: false\n  element 0 is zero\n  element 1 does not vanish at ['1', '2']\n"
+    assert err == ""

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_normal_form
+from helpers import buchberger, reference_normal_form
 from pointideals.poly import (
     DEGLEX,
     DEGREVLEX,
     LEX,
     GroebnerBasis,
     Polynomial,
-    buchberger,
     compare,
     dehomogenize,
     evaluate,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    buchberger,
     random_affine,
     random_fraction,
     random_projective,
@@ -19,6 +20,7 @@ from helpers import (
 )
 from pointideals import (
     DEGLEX,
+    DEGREVLEX,
     GroebnerBasis,
     Polynomial,
     Staircase,
@@ -32,6 +34,7 @@ from pointideals import (
     lift_infinite_part,
     merge,
     poly_str,
+    projective_bm,
     projective_gb,
     projective_points,
     split_charts,
@@ -203,6 +206,83 @@ def test_merge_matches_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the per-degree evaluation walk against the chart recursion and Buchberger
+
+
+def _bm_references(ps):
+    """projective_gb, and Buchberger's degrevlex basis of its elements."""
+    gb = projective_gb(ps)
+    if gb.is_zero_ideal():
+        return gb, GroebnerBasis(DEGREVLEX, ())
+    return gb, buchberger(gb.elements, DEGREVLEX)
+
+
+def _assert_bm_matches(ps):
+    deglex, degrevlex = _bm_references(ps)
+    assert projective_bm(ps, DEGLEX) == deglex
+    assert projective_bm(ps, DEGREVLEX) == degrevlex
+
+
+def _high(rng):
+    return Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
+
+
+BM_EDGE_CASES = {
+    "empty P1": projective_points(1, []),
+    "empty P3": projective_points(3, []),
+    "P0": projective_points(0, [[7]]),
+    "single point": projective_points(2, [[1, Fraction(2, 3), -5]]),
+    "all at infinity": projective_points(2, [[0, 1, 0], [0, 1, 1], [0, 1, Fraction(-1, 2)], [0, 0, 1]]),
+    "collinear": projective_points(2, [[1, k, 2 * k + 1] for k in range(5)]),
+    "collinear at infinity": projective_points(3, [[0, 1, k, -k] for k in range(4)]),
+    "conic": projective_points(2, [[1, k, k * k] for k in range(-2, 3)] + [[0, 0, 1]]),
+    "twisted cubic": projective_points(3, [[1, k, k * k, k**3] for k in range(-2, 3)]),
+    "coordinate points": projective_points(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]]),
+    # equal numerators: the point vectors must be scaled by the denominators
+    "denominators": projective_points(1, [[1, Fraction(1, k)] for k in (2, 3, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BM_EDGE_CASES))
+def test_projective_bm_edge_cases(name):
+    _assert_bm_matches(BM_EDGE_CASES[name])
+
+
+def test_projective_bm_seeded_families():
+    rng = random.Random(3131)
+    for n in (1, 2, 3):
+        # heights up to 10^3, all in chart 1
+        _assert_bm_matches(projective_points(n, [[1] + [_high(rng) for _ in range(n)] for _ in range(4)]))
+        # heights up to 10^3, spread over the charts
+        rows = {(Fraction(0),) * k + (Fraction(1),) + tuple(_high(rng) for _ in range(n - k)) for k in range(n + 1)}
+        _assert_bm_matches(projective_points(n, [list(r) for r in sorted(rows)]))
+    # P^4 in deglex only, with few points
+    for s in (1, 3, 5):
+        ps = random_projective(rng, 4, s)
+        assert projective_bm(ps, DEGLEX) == projective_gb(ps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 6), st.sampled_from(["generic", "infinity", "spread"]))
+def test_projective_bm_matches_references(seed, n, s, kind):
+    rng = random.Random(seed)
+    if kind == "generic":
+        ps = random_projective(rng, n, s)
+    elif kind == "infinity":
+        ps = _with_points_at_infinity(rng, n, s)
+    else:
+        ps = _spread_over_charts(rng, n, s)
+    _assert_bm_matches(ps)
+
+
+def test_projective_bm_rejects_bad_input():
+    with pytest.raises(ValueError):
+        projective_bm(affine_points(1, [[1]]), DEGLEX)
+    with pytest.raises(ValueError):
+        projective_bm(projective_points(1, [[1, 0]]), LEX)
+
+
+# ---------------------------------------------------------------------------
 # full pipeline worked examples
 
 
@@ -353,11 +433,17 @@ def test_certify_rejects_inhomogeneous_element():
     assert any("homogeneous" in r for r in report.reasons)
 
 
+def test_certify_reports_a_zero_element():
+    zero = GroebnerBasis(DEGLEX, (Polynomial(2, []), Polynomial.variable(2, 0)))
+    for check, ps in ((certify, projective_points(1, [[1, 2]])), (affine_certify, affine_points(2, [[1, 2]]))):
+        assert check(zero, ps).reasons == ("element 0 is zero", "element 1 does not vanish at ['1', '2']")
+
+
 def test_standard_walk_does_not_stop_at_a_false_plateau():
     # J = (X1*X3^2, X1^3, X1*X2*X3) has standard counts 1, 3, 6, 7, 7, 8, 9:
     # equal at degrees 3 and 4, beyond every corner, but 7 > 3, so no stop
     corners = [(1, 0, 2), (3, 0, 0), (1, 1, 1)]
-    counts = [len(std) for _, std in islice(standard_walk(3, corners), 7)]
+    counts = [len(std) for _, std in islice(standard_walk(3, corners, DEGLEX), 7)]
     assert counts == [1, 3, 6, 7, 7, 8, 9]
 
 
@@ -366,7 +452,7 @@ def test_standard_walk_takes_corners_found_on_the_way():
     # 1, 2, 2, 2, and the walk ends after degree 3, not with X2^2 counted
     corners = []
     degrees = []
-    for d, candidates in standard_walk(2, corners):
+    for d, candidates in standard_walk(2, corners, DEGLEX):
         degrees.append(d)
         if d == 2:
             assert (0, 2) in candidates
@@ -390,7 +476,7 @@ def test_standard_walk_matches_standard_count(seed):
         ]
     stair = Staircase(arity, tuple(corners))
     counts = []
-    for d, std in islice(standard_walk(arity, list(corners)), 12):
+    for d, std in islice(standard_walk(arity, list(corners), DEGLEX), 12):
         assert len(std) == stair.standard_count(d)
         assert std == sorted(std, key=order_key(DEGLEX))
         counts.append(len(std))
@@ -425,7 +511,7 @@ def test_basis_independent_of_point_order(seed):
 
 
 # ---------------------------------------------------------------------------
-# the pruned certificate against the full-pair reference
+# the certificate against the reference
 
 
 def _candidates(gb, ps, other, rng):
@@ -448,44 +534,6 @@ def test_certificates_reject_an_element_of_another_arity():
     for check, ps in ((certify, projective_points(1, [[1, 0]])), (affine_certify, affine_points(2, [[0, 0]]))):
         report = check(mixed, ps)
         assert report.reasons == ("basis arity 3 does not match ambient 2",)
-
-
-def test_chain_criterion_skips_only_pairs_with_smaller_side_lcms():
-    # the pairwise lcms of X1*X2, X1*X3 and X2*X3 are all X1*X2*X3, so no
-    # pair may be skipped for the third: none of these S-pairs reduces
-    def basis(order, arity, *polys):
-        return GroebnerBasis(order, tuple(Polynomial(arity, terms) for terms in polys))
-
-    cases = [
-        (
-            certify,
-            reference_certify,
-            basis(
-                DEGLEX,
-                3,
-                [((1, 1, 0), 1), ((2, 0, 0), -1)],
-                [((1, 0, 1), 1), ((0, 2, 0), -1)],
-                [((0, 1, 1), 1), ((2, 0, 0), -1)],
-            ),
-            projective_points(2, []),
-        ),
-        (
-            affine_certify,
-            reference_affine_certify,
-            basis(
-                DEGLEX,
-                3,
-                [((1, 1, 0), 1), ((0, 0, 1), -1)],
-                [((1, 0, 1), 1), ((0, 1, 0), -1)],
-                [((0, 1, 1), 1), ((1, 0, 0), -1)],
-            ),
-            affine_points(3, []),
-        ),
-    ]
-    for check, reference, gb, ps in cases:
-        report = check(gb, ps)
-        assert report == reference(gb, ps)
-        assert report.reasons and all(r.startswith("S-polynomial of elements") for r in report.reasons)
 
 
 def test_certify_matches_reference():
