@@ -13,7 +13,6 @@ from .affine import (
     Staircase,
     affine_points,
     buchberger_moeller,
-    canonical_element,
     projective_points,
     staircase_of,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "affine_points",
     "projective_points",
     "buchberger_moeller",
-    "canonical_element",
     "staircase_of",
     "normal_form",
     "s_polynomial",

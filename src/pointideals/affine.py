@@ -21,7 +21,6 @@ from .poly import (
     Polynomial,
     exp_divides,
     monomials_of_degree,
-    normal_form,
     order_key,
     total_degree,
 )
@@ -182,15 +181,3 @@ def buchberger_moeller(pointset, order):
     gb = GroebnerBasis(order, tuple(basis))
     return gb, Staircase(n, tuple(sorted(corners))), standard
 
-
-def canonical_element(sigma, gb):
-    """The unique monic ideal element with leading exponent sigma whose
-    other exponents are all standard."""
-    stair = staircase_of(gb)
-    if not stair.contains(sigma):
-        raise ValueError("exponent %r is standard; the ideal has no element led by it" % (sigma,))
-    mono = Polynomial.monomial(len(sigma), sigma)
-    f = mono - normal_form(mono, gb.elements, gb.order)
-    if not all(e == sigma or not stair.contains(e) for e in f.terms):
-        raise ArithmeticError("canonical element tail must avoid the staircase")
-    return f

@@ -53,12 +53,6 @@ class Echelon:
         self._rows.append((pivot, [x // g for x in rem], [t // g for t in transform], scale))
         return None
 
-    def query(self, vec):
-        """Coefficients of vec over the stored vectors, or None if vec is
-        independent of them; nothing is stored."""
-        rem, transform, scale = self._reduce(vec)
-        return None if any(rem) else self._coefficients(transform, scale)
-
     def _reduce(self, vec):
         """Clear vec of its pivot entries by cross-multiplication; returns
         the remainder, its transform (the last entry is vec's) and D."""

@@ -2,11 +2,13 @@
 
 A projective point set is split into charts by the index of the first
 nonzero coordinate.  The deglex basis of the cone over the finite chart is
-built from the lex basis of the affine chart by homogenization
-(cone_basis); the hyperplane-at-infinity part is lifted, and the two bases
-are merged degree by degree into the basis of the union.  The same
-per-degree kernel, fed evaluation vectors at the points, gives the deglex
-or degrevlex basis directly (projective_bm).  The chart recursion's result
+built from the lex basis of the affine chart (cone_basis): degree by degree,
+its elements are the kernel of the map to lex normal forms.  The
+hyperplane-at-infinity part is lifted, and the two bases are merged degree
+by degree into the basis of the union by the same per-degree kernel, on
+normal forms modulo both bases (merge).  Fed evaluation vectors at the
+points, that kernel gives the deglex or degrevlex basis directly
+(projective_bm).  The chart recursion's result
 is certified independently: a basis whose elements vanish and whose
 staircase counts match the Hilbert function (evaluation-matrix ranks on
 integer point vectors) is accepted without S-pairs; any other basis is
@@ -25,7 +27,6 @@ from .affine import (
     PROJECTIVE,
     affine_points,
     buchberger_moeller,
-    canonical_element,
     staircase_of,
 )
 from .linalg import Echelon
@@ -36,7 +37,6 @@ from .poly import (
     GroebnerBasis,
     Polynomial,
     exp_divides,
-    homogenize,
     monomial_value,
     monomials_of_degree,
     normal_form,
@@ -70,82 +70,51 @@ def split_charts(pointset):
 def cone_basis(chart, trace=None):
     """Reduced deglex basis of the ideal of the lines through the chart's
     affine representatives, inside the ring with one extra (smallest)
-    variable.
+    variable X1.
 
-    Starts from the lex basis of the affine vanishing ideal; for each
-    candidate leading projection, a linear system on canonical-element
-    coefficients decides the minimal homogenized total degree.  When a
-    dict is passed as `trace`, it records for every emitted projected
-    corner the degree offset r at which its system first became solvable.
+    A form F of degree d vanishes on those lines iff F(1, x) lies in the
+    affine ideal I, that is iff the normal form of F(1, x) modulo the lex
+    basis of I is zero.  So the degree-d part of the cone ideal is the
+    kernel of F -> NF(F(1, x)), walked by _degree_kernel.  The vector of a
+    candidate gamma is taken over the s lex standard monomials at
+    beta = gamma[1:]: beta's unit vector if beta is standard, otherwise the
+    coefficients of NF(X^beta), computed once per beta.
+
+    When a dict is passed as `trace`, it maps every projected corner
+    e[1:] of a leading exponent e to its degree offset e[0], the power of
+    X1 by which its element's degree exceeds |e[1:]|, in increasing lex
+    order of e[1:].
     """
     if chart.mode != AFFINE:
         raise ValueError("cone_basis needs an affine chart")
     if not chart.points:
         raise ValueError("cone_basis needs a nonempty chart")
     n = chart.dimension
-    glex, stair, dstd = buchberger_moeller(chart, LEX)
-    m = 2 + max((total_degree(b) for b in dstd), default=0)
-    lexkey = order_key(LEX)
-    canon = {}
+    glex, _, dstd = buchberger_moeller(chart, LEX)
+    index = {beta: i for i, beta in enumerate(dstd)}
+    vectors = {}
 
-    def f_of(beta):
-        if beta not in canon:
-            canon[beta] = canonical_element(beta, glex)
-        return canon[beta]
+    def vector(beta):
+        if beta not in vectors:
+            vec = [0] * len(dstd)
+            if beta in index:
+                vec[index[beta]] = 1
+            else:
+                nf = normal_form(Polynomial.monomial(n, beta), glex.elements, LEX)
+                for e, c in nf.terms.items():
+                    vec[index[e]] = c
+            vectors[beta] = vec
+        return vectors[beta]
 
-    found = []  # (projected leading exponent, total degree of its g)
-    found_full = []  # full-ring leading exponents emitted so far
-    out = []
-    for alpha in sorted(product(range(m + 1), repeat=n), key=lexkey):
-        # a multiple of a corner ap emitted at offset 0 (dg == |ap|) would fail
-        # the reducibility test below at any offset, as (0,) + ap divides it
-        if not stair.contains(alpha) or any(
-            dg == total_degree(ap) and exp_divides(ap, alpha) for ap, dg in found
-        ):
-            continue
-        for r in range(m - total_degree(alpha) + 1):
-            target = total_degree(alpha) + r
-            ys = []
-            for d in range(target + 1):
-                for beta in monomials_of_degree(n, d):
-                    if lexkey(beta) >= lexkey(alpha) or not stair.contains(beta):
-                        continue
-                    if all(
-                        target + total_degree(ap) - dg < d
-                        for ap, dg in found
-                        if exp_divides(ap, beta)
-                    ):
-                        ys.append(beta)
-            fa = f_of(alpha)
-            fy = [f_of(b) for b in ys]
-            high = sorted(
-                {e for poly in [fa] + fy for e in poly.terms if total_degree(e) > target}
-            )
-            # a column dependent on earlier ones gets coefficient 0
-            ech = Echelon()
-            kept = [f for f in fy if ech.add([f.terms.get(e, 0) for e in high]) is None]
-            coeffs = ech.query([-fa.terms.get(e, 0) for e in high])
-            if coeffs is not None:
-                break
-        else:
-            continue
-        g = fa
-        for f, c in zip(kept, coeffs):
-            if c:
-                g = g + f * c
-        lead_full = (g.total_degree() - total_degree(alpha),) + alpha
-        if any(exp_divides(lf, lead_full) for lf in found_full):
-            # reducible by an earlier output: not a corner, and larger r
-            # only adds more powers of the homogenizing variable
-            continue
-        out.append(homogenize(g))
-        found.append((alpha, g.total_degree()))
-        found_full.append(lead_full)
-        if trace is not None:
-            trace[alpha] = r
-    key = order_key(DEGLEX)
-    out.sort(key=lambda h: key(h.leading(DEGLEX)[0]))
-    return GroebnerBasis(DEGLEX, tuple(out))
+    def rows(candidates):
+        return [vector(gamma[1:]) for gamma in candidates]
+
+    gb = _degree_kernel(n + 1, DEGLEX, len(dstd), rows)
+    if trace is not None:
+        lexkey = order_key(LEX)
+        for e in sorted(gb.leading_exponents(), key=lambda e: lexkey(e[1:])):
+            trace[e[1:]] = e[0]
+    return gb
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +197,10 @@ def _degree_kernel(arity, order, s, rows):
       standard counts of in(I), and its stop rule (Gotzmann) ends the walk
       once they persist; that count must equal the point count s.
 
-    The errors name merge: for projective_bm the counts are the Hilbert
-    function, which reaches s, and the walk stops by degree s + 1."""
+    Its callers are cone_basis, merge and projective_bm.  The errors name
+    merge, the only caller that can reach them: for cone_basis and
+    projective_bm the counts are the Hilbert function of s distinct points,
+    which reaches s, and the walk stops by degree s + 1."""
     corners = []
     elements = []
     for d, candidates in standard_walk(arity, corners, order):

@@ -7,21 +7,26 @@ references are the straightforward versions of faster library code: a
 dense Gauss-Jordan rref, the echelon kernel on Fraction rows, the Hilbert
 function on Fraction rows, the normal form and certificates that rebuild
 the remainder on every step and reduce every S-pair, the merge that
-solves one linear system per candidate, and Buchberger's algorithm, the
+solves one linear system per candidate, the cone_basis that solves one per
+candidate and degree offset, and Buchberger's algorithm, the
 reference of the per-degree evaluation walk in any degree order.
 """
 
 import heapq
 from fractions import Fraction
+from itertools import product
 
 from pointideals import (
+    AFFINE,
     DEGLEX,
+    LEX,
     PROJECTIVE,
     CertReport,
     GroebnerBasis,
     Polynomial,
     Staircase,
     affine_points,
+    buchberger_moeller,
     evaluate,
     projective_points,
     s_polynomial,
@@ -33,6 +38,7 @@ from pointideals.poly import (
     exp_divides,
     exp_lcm,
     exp_sub,
+    homogenize,
     monomial_value,
     monomials_of_degree,
     normal_form,
@@ -453,6 +459,106 @@ def reference_merge(gb0, gb1, s):
             raise RuntimeError("merge failed to stabilize by degree %d" % d)
     elements.sort(key=lambda g: key(g.leading(DEGLEX)[0]))
     return GroebnerBasis(DEGLEX, tuple(elements))
+
+
+# ---------------------------------------------------------------------------
+# cone_basis as first written: for each candidate projected corner and each
+# degree offset, one linear system on canonical-element coefficients; the
+# differential reference of the one-kernel-per-degree cone_basis
+
+
+def canonical_element(sigma, gb):
+    """The unique monic ideal element with leading exponent sigma whose
+    other exponents are all standard."""
+    stair = staircase_of(gb)
+    if not stair.contains(sigma):
+        raise ValueError("exponent %r is standard; the ideal has no element led by it" % (sigma,))
+    mono = Polynomial.monomial(len(sigma), sigma)
+    f = mono - normal_form(mono, gb.elements, gb.order)
+    if not all(e == sigma or not stair.contains(e) for e in f.terms):
+        raise ArithmeticError("canonical element tail must avoid the staircase")
+    return f
+
+
+def reference_cone_basis(chart, trace=None):
+    """Reduced deglex basis of the ideal of the lines through the chart's
+    affine representatives, inside the ring with one extra (smallest)
+    variable.
+
+    Starts from the lex basis of the affine vanishing ideal; for each
+    candidate leading projection, a linear system on canonical-element
+    coefficients decides the minimal homogenized total degree.  When a
+    dict is passed as `trace`, it records for every emitted projected
+    corner the degree offset r at which its system first became solvable.
+    """
+    if chart.mode != AFFINE:
+        raise ValueError("cone_basis needs an affine chart")
+    if not chart.points:
+        raise ValueError("cone_basis needs a nonempty chart")
+    n = chart.dimension
+    glex, stair, dstd = buchberger_moeller(chart, LEX)
+    m = 2 + max((total_degree(b) for b in dstd), default=0)
+    lexkey = order_key(LEX)
+    canon = {}
+
+    def f_of(beta):
+        if beta not in canon:
+            canon[beta] = canonical_element(beta, glex)
+        return canon[beta]
+
+    found = []  # (projected leading exponent, total degree of its g)
+    found_full = []  # full-ring leading exponents emitted so far
+    out = []
+    for alpha in sorted(product(range(m + 1), repeat=n), key=lexkey):
+        # a multiple of a corner ap emitted at offset 0 (dg == |ap|) would fail
+        # the reducibility test below at any offset, as (0,) + ap divides it
+        if not stair.contains(alpha) or any(
+            dg == total_degree(ap) and exp_divides(ap, alpha) for ap, dg in found
+        ):
+            continue
+        for r in range(m - total_degree(alpha) + 1):
+            target = total_degree(alpha) + r
+            ys = []
+            for d in range(target + 1):
+                for beta in monomials_of_degree(n, d):
+                    if lexkey(beta) >= lexkey(alpha) or not stair.contains(beta):
+                        continue
+                    if all(
+                        target + total_degree(ap) - dg < d
+                        for ap, dg in found
+                        if exp_divides(ap, beta)
+                    ):
+                        ys.append(beta)
+            fa = f_of(alpha)
+            fy = [f_of(b) for b in ys]
+            high = sorted(
+                {e for poly in [fa] + fy for e in poly.terms if total_degree(e) > target}
+            )
+            # a column dependent on earlier ones gets coefficient 0
+            ech = ReferenceEchelon()
+            kept = [f for f in fy if ech.add([f.terms.get(e, 0) for e in high]) is None]
+            coeffs = ech.query([-fa.terms.get(e, 0) for e in high])
+            if coeffs is not None:
+                break
+        else:
+            continue
+        g = fa
+        for f, c in zip(kept, coeffs):
+            if c:
+                g = g + f * c
+        lead_full = (g.total_degree() - total_degree(alpha),) + alpha
+        if any(exp_divides(lf, lead_full) for lf in found_full):
+            # reducible by an earlier output: not a corner, and larger r
+            # only adds more powers of the homogenizing variable
+            continue
+        out.append(homogenize(g))
+        found.append((alpha, g.total_degree()))
+        found_full.append(lead_full)
+        if trace is not None:
+            trace[alpha] = r
+    key = order_key(DEGLEX)
+    out.sort(key=lambda h: key(h.leading(DEGLEX)[0]))
+    return GroebnerBasis(DEGLEX, tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_affine
+from helpers import canonical_element, random_affine
 from pointideals import (
     DEGLEX,
     LEX,
@@ -16,7 +16,6 @@ from pointideals import (
     affine_certify,
     affine_points,
     buchberger_moeller,
-    canonical_element,
     evaluate,
     poly_str,
     projective_points,

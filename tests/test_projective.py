@@ -15,6 +15,7 @@ from helpers import (
     random_projective,
     reference_affine_certify,
     reference_certify,
+    reference_cone_basis,
     reference_hilbert_function,
     reference_merge,
 )
@@ -98,6 +99,8 @@ def test_cone_basis_parabola_chart():
     # the corner's own degree; every other corner homogenizes at offset zero
     assert trace[(0, 1)] == 1
     assert all(r == 0 for a, r in trace.items() if a != (0, 1))
+    # corners are recorded in increasing lex order of the projection
+    assert list(trace) == [(3, 0), (0, 1), (1, 1), (0, 2)]
 
 
 def test_cone_basis_output_is_homogeneous_and_reduced():
@@ -112,6 +115,42 @@ def test_cone_basis_output_is_homogeneous_and_reduced():
         for lh in leads:
             if lh != lg:
                 assert not any(exp_divides(lh, e) for e in g.terms)
+
+
+def _chart(rng, n, s, kind, height):
+    """s distinct affine points in A^n with numerators up to `height`:
+    generic, on a random line, or on the moment curve (t, t^2, ..., t^n)."""
+    def param():
+        return Fraction(rng.randint(-height, height), rng.randint(1, 3))
+
+    base = [param() for _ in range(n)]
+    direction = [rng.randint(1, 3) * rng.choice((-1, 1)) for _ in range(n)]
+    pts = set()
+    while len(pts) < s:
+        t = param()
+        if kind == "generic":
+            pts.add(tuple(param() for _ in range(n)))
+        elif kind == "line":
+            pts.add(tuple(b + t * d for b, d in zip(base, direction)))
+        else:
+            pts.add(tuple(t ** (k + 1) for k in range(n)))
+    return affine_points(n, [list(p) for p in sorted(pts)])
+
+
+def test_cone_basis_matches_reference():
+    # bases, offsets and the trace's insertion order, against the solver of
+    # one linear system per candidate and offset
+    rng = random.Random(808)
+    shapes = [(n, s) for n, top in ((1, 10), (2, 10), (3, 8), (4, 5)) for s in range(1, top + 1)]
+    offsets = set()
+    for n, s in shapes:
+        for kind in ("generic", "line", "moment"):
+            chart = _chart(rng, n, s, kind, rng.choice((5, 10**3)))
+            trace, ref_trace = {}, {}
+            assert cone_basis(chart, trace=trace) == reference_cone_basis(chart, trace=ref_trace)
+            assert list(trace.items()) == list(ref_trace.items())
+            offsets.update(trace.values())
+    assert max(offsets) >= 2
 
 
 def test_cone_basis_rejects_empty_or_projective():
