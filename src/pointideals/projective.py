@@ -6,14 +6,14 @@ built from the lex basis of the affine chart (cone_basis): degree by degree,
 its elements are the kernel of the map to lex normal forms.  The
 hyperplane-at-infinity part is lifted, and the two bases are merged degree
 by degree into the basis of the union by the same per-degree kernel, on
-normal forms modulo both bases (merge).  Fed evaluation vectors at the
-points, that kernel gives the deglex or degrevlex basis directly
-(projective_bm).  The chart recursion's result
-is certified independently: a basis whose elements vanish and whose
-staircase counts match the Hilbert function (evaluation-matrix ranks on
-integer point vectors) is accepted without S-pairs; any other basis is
-rejected, and only then are its S-pairs reduced, so that the reasons name
-each failing check.
+normal forms modulo both bases (merge), taken by multiplication from a memo
+(_normal_forms), not by division.  Fed evaluation vectors at the points,
+that kernel gives the deglex or degrevlex basis directly (projective_bm).
+The chart recursion's result is certified independently: a basis whose
+elements vanish and whose staircase counts match the Hilbert function
+(evaluation-matrix ranks on integer point vectors) is accepted without
+S-pairs; any other basis is rejected, and only then are its S-pairs
+reduced, so that the reasons name each failing check.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def cone_basis(chart, trace=None):
     basis of I is zero.  So the degree-d part of the cone ideal is the
     kernel of F -> NF(F(1, x)), walked by _degree_kernel.  The vector of a
     candidate gamma is taken over the s lex standard monomials at
-    beta = gamma[1:]: beta's unit vector if beta is standard, otherwise the
-    coefficients of NF(X^beta), computed once per beta.
+    beta = gamma[1:]: the coefficients of NF(X^beta), taken by
+    multiplication and memoised per beta (_normal_forms).
 
     When a dict is passed as `trace`, it maps every projected corner
     e[1:] of a leading exponent e to its degree offset e[0], the power of
@@ -91,23 +91,10 @@ def cone_basis(chart, trace=None):
         raise ValueError("cone_basis needs a nonempty chart")
     n = chart.dimension
     glex, _, dstd = buchberger_moeller(chart, LEX)
-    index = {beta: i for i, beta in enumerate(dstd)}
-    vectors = {}
-
-    def vector(beta):
-        if beta not in vectors:
-            vec = [0] * len(dstd)
-            if beta in index:
-                vec[index[beta]] = 1
-            else:
-                nf = normal_form(Polynomial.monomial(n, beta), glex.elements, LEX)
-                for e, c in nf.terms.items():
-                    vec[index[e]] = c
-            vectors[beta] = vec
-        return vectors[beta]
+    nf = _normal_forms(glex)
 
     def rows(candidates):
-        return [vector(gamma[1:]) for gamma in candidates]
+        return [[v.get(beta, 0) for beta in dstd] for v in (nf(gamma[1:]) for gamma in candidates)]
 
     gb = _degree_kernel(n + 1, DEGLEX, len(dstd), rows)
     if trace is not None:
@@ -197,8 +184,9 @@ def _degree_kernel(arity, order, s, rows):
       standard counts of in(I), and its stop rule (Gotzmann) ends the walk
       once they persist; that count must equal the point count s.
 
-    Its callers are cone_basis, merge and projective_bm.  The errors name
-    merge, the only caller that can reach them: for cone_basis and
+    Its callers are cone_basis and merge, on normal forms by multiplication
+    (_normal_forms), and projective_bm, on evaluation vectors.  The errors
+    name merge, the only caller that can reach them: for cone_basis and
     projective_bm the counts are the Hilbert function of s distinct points,
     which reaches s, and the walk stops by degree s + 1."""
     corners = []
@@ -227,6 +215,49 @@ def _degree_kernel(arity, order, s, rows):
     return GroebnerBasis(order, tuple(elements))
 
 
+def _normal_forms(gb):
+    """nf(e): the normal form of X^e modulo the reduced, monic basis gb, as
+    a dict {standard exponent: coefficient}, memoised for the life of nf.
+
+    A standard e is its own normal form, and a leading exponent's is minus
+    its element's tail, which is standard as gb is reduced.  Any other e
+    lies strictly above a corner b, so some e_i with e - e_i still above b
+    exists, and NF(X^e) = sum(c * NF(X^(m + e_i))) over the terms c*X^m of
+    NF(X^(e - e_i)), by multiplication instead of division (FGLM).  Each
+    such m is below e - e_i, so m + e_i is below e, and a term order is a
+    well-order: the recursion ends.  A normal form modulo a Groebner basis
+    is unique, so it equals the remainder of any division.  The memo is
+    filled from an explicit stack, so no recursion limit is reached."""
+    leads = gb.leading_exponents()
+    memo = {le: {e: -c for e, c in g.terms.items() if e != le} for le, g in zip(leads, gb.elements)}
+
+    def nf(exp):
+        stack = [exp]
+        while stack:
+            e = stack.pop()
+            if e in memo:
+                continue
+            b = next((b for b in leads if exp_divides(b, e)), None)
+            if b is None:
+                memo[e] = {e: 1}
+                continue
+            i = next(i for i, (x, y) in enumerate(zip(b, e)) if y > x)
+            parent = e[:i] + (e[i] - 1,) + e[i + 1 :]
+            shifted = {m[:i] + (m[i] + 1,) + m[i + 1 :]: c for m, c in memo.get(parent, {}).items()}
+            missing = [t for t in (parent, *shifted) if t not in memo]
+            if missing:
+                stack += [e, *missing]
+                continue
+            acc = {}
+            for t, c in shifted.items():
+                for f, d in memo[t].items():
+                    acc[f] = acc.get(f, 0) + c * d
+            memo[e] = {f: c for f, c in acc.items() if c}
+        return memo[exp]
+
+    return nf
+
+
 def merge(gb0, gb1, s):
     """Reduced deglex basis of the intersection of two homogeneous
     vanishing ideals, given their reduced deglex bases and the total point
@@ -238,7 +269,8 @@ def merge(gb0, gb1, s):
     C0 and C1, the staircases of gb0 and gb1: outside C0, NF0(gamma) = gamma
     is a term of no smaller monomial's NF0, so the vector of gamma is
     independent.  Hence a degree with no candidate in both is all standard,
-    and NF0 is computed only inside C0."""
+    and no normal form is taken there.  Each side's normal forms come by
+    multiplication from one memo (_normal_forms) for the whole walk."""
     if gb0.order != DEGLEX or gb1.order != DEGLEX:
         raise ValueError("merge needs deglex bases")
     if gb1.is_unit():
@@ -250,7 +282,7 @@ def merge(gb0, gb1, s):
     m = gb0.arity
     if gb1.arity != m:
         raise ValueError("arity mismatch: %d vs %d" % (m, gb1.arity))
-    sides = ((gb0.elements, staircase_of(gb0)), (gb1.elements, staircase_of(gb1)))
+    sides = ((_normal_forms(gb0), staircase_of(gb0)), (_normal_forms(gb1), staircase_of(gb1)))
 
     def rows(candidates):
         if not any(all(st.contains(g) for _, st in sides) for g in candidates):
@@ -258,11 +290,8 @@ def merge(gb0, gb1, s):
         vecs = []
         for gamma in candidates:
             vec = {}
-            for side, (basis, st) in enumerate(sides):
-                nf = {gamma: 1}
-                if st.contains(gamma):
-                    nf = normal_form(Polynomial.monomial(m, gamma), basis, DEGLEX).terms
-                vec.update(((side, e), c) for e, c in nf.items())
+            for side, (nf, _) in enumerate(sides):
+                vec.update(((side, e), c) for e, c in nf(gamma).items())
             vecs.append(vec)
         columns = sorted(set().union(*vecs))
         return [[vec.get(col, 0) for col in columns] for vec in vecs]

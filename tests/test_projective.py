@@ -1,6 +1,7 @@
 """Tests for chart decomposition, homogenization, merging and certification."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -42,8 +43,8 @@ from pointideals import (
     staircase_of,
     unit_basis,
 )
-from pointideals.poly import LEX, order_key, s_polynomial
-from pointideals.projective import hilbert_values, standard_walk
+from pointideals.poly import LEX, monomials_of_degree, normal_form, order_key, s_polynomial
+from pointideals.projective import _normal_forms, hilbert_values, standard_walk
 
 P1_THREE = [[1, 0], [1, 1], [0, 1]]
 P2_COORD = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -242,6 +243,62 @@ def test_merge_matches_reference(monkeypatch):
         assert merge(gb0, gb1, s) == reference_merge(gb0, gb1, s)
         kernel_passes += not (gb0.is_unit() or gb1.is_unit())
     assert kernel_passes >= 20
+
+
+# ---------------------------------------------------------------------------
+# normal forms by multiplication
+
+
+def test_normal_forms_match_normal_form():
+    # every exponent up to two degrees past the largest corner, in random
+    # order, against division by the basis
+    rng = random.Random(1010)
+    bases = []
+    for n, s in ((1, 3), (1, 7), (2, 3), (2, 6), (3, 2), (3, 5)):
+        aff = random_affine(rng, n, s)
+        bases.extend(buchberger_moeller(aff, order)[0] for order in (LEX, DEGLEX))
+        for ps in (random_projective(rng, n, s), _with_points_at_infinity(rng, n, s)):
+            gb = projective_gb(ps)
+            bases.append(gb)
+            bases.append(lift_infinite_part(gb))
+    for gb in bases:
+        arity = gb.arity
+        top = max(map(sum, gb.leading_exponents())) + 2
+        exps = [e for d in range(top + 1) for e in monomials_of_degree(arity, d)]
+        rng.shuffle(exps)
+        nf = _normal_forms(gb)
+        for e in exps:
+            assert nf(e) == normal_form(Polynomial.monomial(arity, e), gb.elements, gb.order).terms
+
+
+def test_normal_forms_deep_chain():
+    # the point (1:2) of P^1: NF(X2^3000) is reached through 3000 nested
+    # parents, far past the default recursion limit
+    gb = projective_gb(projective_points(1, [[1, 2]]))
+    assert [poly_str(g) for g in gb.elements] == ["X2 - 2*X1"]
+    assert sys.getrecursionlimit() < 3000
+    assert _normal_forms(gb)((0, 3000)) == {(3000, 0): 2**3000}
+
+
+def test_chart_recursion_divides_nothing(monkeypatch):
+    calls = []
+
+    def counted(f, divisors, order):
+        calls.append(f)
+        return normal_form(f, divisors, order)
+
+    monkeypatch.setattr("pointideals.projective.normal_form", counted)
+    rng = random.Random(4321)
+    rows = []
+    for zeros, size in enumerate((4, 3, 2, 1)):
+        chart = set()
+        while len(chart) < size:
+            chart.add((Fraction(0),) * zeros + (Fraction(1),) + tuple(random_fraction(rng) for _ in range(3 - zeros)))
+        rows.extend(list(r) for r in sorted(chart))
+    ps = projective_points(3, rows)
+    assert [len(c.points) for c in split_charts(ps)] == [4, 3, 2, 1]
+    assert certify(projective_gb(ps), ps).passed
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
