@@ -23,7 +23,6 @@ from .poly import (
     GroebnerBasis,
     Polynomial,
     dehomogenize,
-    evaluate,
     homogenize,
     normal_form,
     poly_str,
@@ -65,7 +64,6 @@ __all__ = [
     "staircase_of",
     "normal_form",
     "s_polynomial",
-    "evaluate",
     "homogenize",
     "dehomogenize",
     "poly_str",

@@ -102,10 +102,6 @@ class Staircase:
             raise ValueError("exponent %r does not match arity %d" % (exp, self.arity))
         return any(exp_divides(b, exp) for b in self.corners)
 
-    def standard_count(self, degree):
-        """Number of degree-d standard monomials."""
-        return sum(1 for e in monomials_of_degree(self.arity, degree) if not self.contains(e))
-
     def standard_monomials_upto(self, degree, order=DEGLEX):
         out = []
         for d in range(degree + 1):

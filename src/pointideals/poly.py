@@ -217,17 +217,6 @@ def monomial_value(exp, point):
     return v
 
 
-def evaluate(p, point):
-    """Exact evaluation of p at a vector of rationals."""
-    if len(point) != p.arity:
-        raise ValueError("point has length %d, expected %d" % (len(point), p.arity))
-    point = [Fraction(x) for x in point]
-    total = Fraction(0)
-    for exp, coeff in p.terms.items():
-        total += coeff * monomial_value(exp, point)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # homogenization
 

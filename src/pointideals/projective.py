@@ -11,15 +11,16 @@ normal forms modulo both bases (merge), taken by multiplication from a memo
 that kernel gives the deglex or degrevlex basis directly (projective_bm).
 The chart recursion's result is certified independently: a basis whose
 elements vanish and whose staircase counts match the Hilbert function
-(evaluation-matrix ranks on integer point vectors) is accepted without
-S-pairs; any other basis is rejected, and only then are its S-pairs
-reduced, so that the reasons name each failing check.
+(the standard counts of the same kernel walk on evaluation vectors, which
+stops once they reach the point count) is accepted without S-pairs; any
+other basis is rejected, and only then are its S-pairs reduced, so that the
+reasons name each failing check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, product, repeat
+from itertools import count, islice, product, repeat
 from math import lcm, prod
 
 from .affine import (
@@ -38,7 +39,6 @@ from .poly import (
     Polynomial,
     exp_divides,
     monomial_value,
-    monomials_of_degree,
     normal_form,
     order_key,
     s_polynomial,
@@ -158,15 +158,27 @@ def standard_walk(arity, corners, order):
         border = {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(arity)}
 
 
-def _integer_vector(p):
-    """q*p, q the lcm of p's denominators: the same projective point, in ints."""
-    q = lcm(*(x.denominator for x in p))
-    return [x.numerator * (q // x.denominator) for x in p]
+def _evaluation_rows(pointset):
+    """rows(candidates) for _kernel_walk: each candidate's values at the
+    points, each point p taken at its integer vector q*p, q the lcm of p's
+    denominators.  That scales p's entry of every degree-d vector by q^d,
+    which leaves every dependency unchanged and hands the kernel ints."""
+    vectors = []
+    for p in pointset.points:
+        q = lcm(*(x.denominator for x in p))
+        vectors.append([x.numerator * (q // x.denominator) for x in p])
+
+    def rows(candidates):
+        return [[prod(map(pow, v, gamma)) for v in vectors] for gamma in candidates]
+
+    return rows
 
 
-def _degree_kernel(arity, order, s, rows):
-    """Reduced basis, in `order`, of the homogeneous ideal I whose degree-d
-    part is the kernel of a linear map v_d, walked by standard_walk.
+def _kernel_walk(arity, order, rows):
+    """Walk the homogeneous ideal I whose degree-d part is the kernel of a
+    linear map v_d along standard_walk, yielding (d, standard, elements):
+    the degree-d standard monomials of in(I), in increasing order, and the
+    degree-d elements of I's reduced basis in `order`.
 
     rows(candidates) gives the vectors v_d(gamma) of one degree's
     candidates, or None if none of them can lead an element of I.  The
@@ -179,23 +191,16 @@ def _degree_kernel(arity, order, s, rows):
       leads an element of I, and by induction its vector lies in the span
       of those of the smaller standard monomials.  So the kept candidates
       span what all smaller monomials span, every tail lies on standard
-      monomials, and the result is the unique reduced basis.
+      monomials, and the elements form the unique reduced basis.
     - Every standard monomial is a candidate, so the walk's counts are the
-      standard counts of in(I), and its stop rule (Gotzmann) ends the walk
-      once they persist; that count must equal the point count s.
-
-    Its callers are cone_basis and merge, on normal forms by multiplication
-    (_normal_forms), and projective_bm, on evaluation vectors.  The errors
-    name merge, the only caller that can reach them: for cone_basis and
-    projective_bm the counts are the Hilbert function of s distinct points,
-    which reaches s, and the walk stops by degree s + 1."""
+      standard counts of in(I), that is the Hilbert function of the
+      quotient by I, and its stop rule (Gotzmann) ends the walk once they
+      persist."""
     corners = []
-    elements = []
     for d, candidates in standard_walk(arity, corners, order):
-        if d > 4 * s + 8:
-            raise RuntimeError("merge failed to stabilize by degree %d" % d)
         vecs = rows(candidates)
         standard = candidates
+        elements = []
         if vecs is not None:
             ech = Echelon()
             standard = []
@@ -206,12 +211,30 @@ def _degree_kernel(arity, order, s, rows):
                 else:
                     elements.append(Polynomial(arity, [(gamma, 1)] + [(e, -c) for e, c in zip(standard, coeffs)]))
                     corners.append(gamma)
+        yield d, standard, elements
+
+
+def _degree_kernel(arity, order, s, rows):
+    """Reduced basis, in `order`, of the ideal _kernel_walk walks on rows,
+    whose standard count must settle at the point count s.
+
+    Its callers are cone_basis and merge, on normal forms by multiplication
+    (_normal_forms), and projective_bm, on evaluation vectors; hilbert_values
+    walks the same kernel on evaluation vectors for the counts alone.  The
+    errors name merge, the only caller that can reach them: for cone_basis
+    and projective_bm the counts are the Hilbert function of s distinct
+    points, which reaches s, and the walk stops by degree s + 1."""
+    elements = []
+    for d, standard, new in _kernel_walk(arity, order, rows):
+        if d > 4 * s + 8:
+            raise RuntimeError("merge failed to stabilize by degree %d" % d)
+        # corners are found degree by degree in increasing order
+        elements += new
     if len(standard) != s:
         raise ValueError(
             "merged staircase stabilizes at %d standard monomials per degree, "
             "expected %d; the merged point sets are inconsistent" % (len(standard), s)
         )
-    # corners were found degree by degree in increasing order
     return GroebnerBasis(order, tuple(elements))
 
 
@@ -304,20 +327,12 @@ def projective_bm(pointset, order):
     projective point set, by the projective Buchberger-Moeller walk.
 
     The degree-d part of the ideal is the kernel of evaluation at the
-    points, walked by _degree_kernel.  A point p is evaluated at its integer
-    vector q*p, q the lcm of p's denominators, as in hilbert_function: that
-    scales p's entry of every degree-d vector by q^d, which leaves every
-    dependency unchanged and hands the kernel plain ints."""
+    points (_evaluation_rows), walked by _degree_kernel."""
     if pointset.mode != PROJECTIVE:
         raise ValueError("projective_bm needs a projective point set")
     if order not in (DEGLEX, DEGREVLEX):
         raise ValueError("projective_bm needs a degree-compatible order, got %r" % (order,))
-    vectors = [_integer_vector(p) for p in pointset.points]
-
-    def rows(candidates):
-        return [[prod(map(pow, v, gamma)) for v in vectors] for gamma in candidates]
-
-    return _degree_kernel(pointset.dimension + 1, order, len(vectors), rows)
+    return _degree_kernel(pointset.dimension + 1, order, len(pointset.points), _evaluation_rows(pointset))
 
 
 # ---------------------------------------------------------------------------
@@ -395,36 +410,35 @@ def axis_census(stair):
 
 
 # ---------------------------------------------------------------------------
-# independent oracle and certificate
+# Hilbert function and certificate
 
 def hilbert_function(pointset, d):
-    """Rank of the evaluation matrix of all degree-d monomials at the
-    points; the degree-d Hilbert function of the homogeneous coordinate
-    ring.
-
-    The row of a point p is taken at its integer vector q*p, q the lcm of
-    p's denominators.  That scales the row by q^d, which leaves the rank
-    unchanged and hands the kernel plain ints."""
+    """H(d) of the homogeneous coordinate ring: the d-th of hilbert_values,
+    walked afresh on each call (a loop over d should read hilbert_values)."""
     if pointset.mode != PROJECTIVE:
         raise ValueError("hilbert_function needs a projective point set")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    monos = list(monomials_of_degree(pointset.dimension + 1, d))
-    ech = Echelon()
-    for p in pointset.points:
-        v = _integer_vector(p)
-        ech.add([prod(map(pow, v, e)) for e in monos])
-    return ech.rank
+    return next(islice(hilbert_values(pointset), d, None))
 
 
 def hilbert_values(pointset):
-    """Yield the Hilbert function at d = 0, 1, 2, ...  It never decreases and
-    never exceeds the point count s, so once it reaches s no rank is computed."""
-    for d in count():
-        value = hilbert_function(pointset, d)
-        yield value
-        if value == len(pointset.points):
-            yield from repeat(value)
+    """Yield the Hilbert function H(d) at d = 0, 1, 2, ..., without end.
+
+    H(d) is the number of degree-d standard monomials of in(I), I the
+    vanishing ideal: the count _kernel_walk yields on evaluation vectors.
+    H never decreases and never exceeds the point count s, so the walk stops
+    once H reaches s, and the last count repeats for ever (after a Gotzmann
+    stop it persists as well).  certify zips these values with a basis's
+    counts, which a finite generator would cut short."""
+    if pointset.mode != PROJECTIVE:
+        raise ValueError("hilbert_function needs a projective point set")
+    s = len(pointset.points)
+    for _, standard, _ in _kernel_walk(pointset.dimension + 1, DEGLEX, _evaluation_rows(pointset)):
+        yield len(standard)
+        if len(standard) == s:
+            break
+    yield from repeat(len(standard))
 
 
 @dataclass(frozen=True)
@@ -505,10 +519,11 @@ def certify(gb, pointset):
     - If the counts always agree, H stays at s from some degree on, and
       the stop rule holds by degree max(s, max corner degree) + 1; so the
       comparison ends, with a verdict, after finitely many degrees.
+    - H comes from the walk and Echelon that build gb, but it keeps only
+      independent vectors, so it can only undercount: a fault there rejects.
 
     A basis that fails the comparison is rejected; only then is every
-    S-pair reduced, so that each reason names a failing check.  Past the degree where H reaches s
-    no rank is computed."""
+    S-pair reduced, so that each reason names a failing check."""
     m = pointset.dimension + 1
 
     def hilbert_reason():

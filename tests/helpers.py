@@ -5,11 +5,13 @@ Coordinates are rationals p/q with |p| <= 5 and q <= 3 so exact
 arithmetic stays cheap while still exercising non-integer points.  The
 references are the straightforward versions of faster library code: a
 dense Gauss-Jordan rref, the echelon kernel on Fraction rows, the Hilbert
-function on Fraction rows, the normal form and certificates that rebuild
-the remainder on every step and reduce every S-pair, the merge that
-solves one linear system per candidate, the cone_basis that solves one per
-candidate and degree offset, and Buchberger's algorithm, the
-reference of the per-degree evaluation walk in any degree order.
+function as the rank of all degree-d monomials on Fraction rows, the normal
+form and certificates that rebuild the remainder on every step and reduce
+every S-pair, the merge that solves one linear system per candidate, the
+cone_basis that solves one per candidate and degree offset, and
+Buchberger's algorithm, the reference of the per-degree evaluation walk in
+any degree order.  Polynomial evaluation and per-degree standard counts
+are brute-force helpers that only the tests use.
 """
 
 import heapq
@@ -27,12 +29,10 @@ from pointideals import (
     Staircase,
     affine_points,
     buchberger_moeller,
-    evaluate,
     projective_points,
     s_polynomial,
     staircase_of,
 )
-from pointideals.linalg import Echelon
 from pointideals.poly import (
     exp_add,
     exp_divides,
@@ -190,8 +190,9 @@ class ReferenceEchelon:
 
 
 # ---------------------------------------------------------------------------
-# the Hilbert function on Fraction rows: the differential reference of the
-# one on integer point vectors
+# the Hilbert function as a rank on Fraction rows: the differential
+# reference of the evaluation walk, sharing neither the walk nor the
+# integer kernel with it
 
 
 def reference_hilbert_function(pointset, d):
@@ -203,10 +204,30 @@ def reference_hilbert_function(pointset, d):
     if d < 0:
         raise ValueError("degree must be nonnegative")
     monos = list(monomials_of_degree(pointset.dimension + 1, d))
-    ech = Echelon()
+    ech = ReferenceEchelon()
     for p in pointset.points:
         ech.add([monomial_value(e, p) for e in monos])
     return ech.rank
+
+
+# ---------------------------------------------------------------------------
+# evaluation and standard counts by brute force
+
+
+def evaluate(p, point):
+    """Exact evaluation of p at a vector of rationals."""
+    if len(point) != p.arity:
+        raise ValueError("point has length %d, expected %d" % (len(point), p.arity))
+    point = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for exp, coeff in p.terms.items():
+        total += coeff * monomial_value(exp, point)
+    return total
+
+
+def standard_count(stair, degree):
+    """Number of degree-d standard monomials of a Staircase."""
+    return sum(1 for e in monomials_of_degree(stair.arity, degree) if not stair.contains(e))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +314,7 @@ def reference_certify(gb, pointset):
         stable = 0
         max_deg = stair.max_corner_degree()
         while True:
-            std = stair.standard_count(d)
+            std = standard_count(stair, d)
             hf = reference_hilbert_function(pointset, d) if pointset.points else 0
             if std != hf:
                 reasons.append(

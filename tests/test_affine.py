@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import canonical_element, random_affine
+from helpers import canonical_element, evaluate, random_affine, standard_count
 from pointideals import (
     DEGLEX,
     LEX,
@@ -16,7 +16,6 @@ from pointideals import (
     affine_certify,
     affine_points,
     buchberger_moeller,
-    evaluate,
     poly_str,
     projective_points,
     staircase_of,
@@ -64,7 +63,7 @@ def test_staircase_membership_and_counts():
     assert stair.contains((2, 5))
     assert not stair.contains((0, 7))
     # degree 3: (0,3) and (2,1) avoid both corner cones, (1,2) and (3,0) don't
-    assert stair.standard_count(3) == 2
+    assert standard_count(stair, 3) == 2
 
 
 def test_standard_monomials_finite_and_infinite():

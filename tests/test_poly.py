@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import buchberger, reference_normal_form
+from helpers import buchberger, evaluate, reference_normal_form
 from pointideals.poly import (
     DEGLEX,
     DEGREVLEX,
@@ -15,7 +15,6 @@ from pointideals.poly import (
     Polynomial,
     compare,
     dehomogenize,
-    evaluate,
     exp_divides,
     homogenize,
     monomials_of_degree,

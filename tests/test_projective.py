@@ -19,6 +19,7 @@ from helpers import (
     reference_cone_basis,
     reference_hilbert_function,
     reference_merge,
+    standard_count,
 )
 from pointideals import (
     DEGLEX,
@@ -408,6 +409,9 @@ def test_hilbert_function_values():
     assert [hilbert_function(p1, d) for d in range(4)] == [1, 2, 3, 3]
     p2 = projective_points(2, P2_COORD)
     assert [hilbert_function(p2, d) for d in range(3)] == [1, 3, 3]
+    # s points on a line: H(d) = min(d + 1, s), so the walk runs to d = s - 1
+    chain = projective_points(1, [[1, Fraction(i, 7)] for i in range(39)] + [[0, 1]])
+    assert list(islice(hilbert_values(chain), 42)) == [min(d + 1, 40) for d in range(42)]
 
 
 def _with_points_at_infinity(rng, n, s):
@@ -430,8 +434,20 @@ def test_hilbert_values_match_hilbert_function():
         n = rng.randint(1, 3)
         s = rng.randint(0, 7)
         ps = random_projective(rng, n, s) if rng.random() < 0.5 else _with_points_at_infinity(rng, n, s)
-        expected = [hilbert_function(ps, d) for d in range(s + 3)]
+        expected = [reference_hilbert_function(ps, d) for d in range(s + 3)]
         assert list(islice(hilbert_values(ps), s + 3)) == expected
+
+
+def _random_hilbert_points(rng, n, s):
+    h, q = rng.choice([(1000, 1), (1, 1000), (1000, 1000)])
+    rows = set()
+    while len(rows) < s:
+        row = tuple(Fraction(rng.randint(-h, h), rng.randint(1, q)) for _ in range(n + 1))
+        if rng.random() < 0.3:
+            row = (Fraction(0),) + row[1:]
+        if any(row):
+            rows.add(tuple(x / next(x for x in row if x) for x in row))
+    return projective_points(n, [list(r) for r in sorted(rows)])
 
 
 def test_hilbert_function_matches_reference():
@@ -439,17 +455,21 @@ def test_hilbert_function_matches_reference():
     rng = random.Random(1013)
     for s in [0] + [rng.randint(1, 7) for _ in range(24)]:
         n = rng.randint(1, 3)
-        h, q = rng.choice([(1000, 1), (1, 1000), (1000, 1000)])
-        rows = set()
-        while len(rows) < s:
-            row = tuple(Fraction(rng.randint(-h, h), rng.randint(1, q)) for _ in range(n + 1))
-            if rng.random() < 0.3:
-                row = (Fraction(0),) + row[1:]
-            if any(row):
-                rows.add(tuple(x / next(x for x in row if x) for x in row))
-        ps = projective_points(n, [list(r) for r in sorted(rows)])
+        ps = _random_hilbert_points(rng, n, s)
         for d in range(s + 3):
             assert hilbert_function(ps, d) == reference_hilbert_function(ps, d)
+    # up to P^4 and 12 points; past the third degree at H = s, H stays at s
+    rng = random.Random(1019)
+    for _ in range(12):
+        s, n = rng.randint(8, 12), rng.randint(1, 4)
+        ps = _random_hilbert_points(rng, n, s)
+        at_s = 0
+        for d in range(s + 3):
+            expected = reference_hilbert_function(ps, d)
+            assert hilbert_function(ps, d) == expected
+            at_s += expected == s
+            if at_s == 3:
+                break
     # equal numerators, distinct points: the denominators must count
     ps = projective_points(1, [[1, Fraction(1, k)] for k in (2, 3, 5)])
     assert [hilbert_function(ps, d) for d in range(4)] == [1, 2, 3, 3]
@@ -573,12 +593,12 @@ def test_standard_walk_matches_standard_count(seed):
     stair = Staircase(arity, tuple(corners))
     counts = []
     for d, std in islice(standard_walk(arity, list(corners), DEGLEX), 12):
-        assert len(std) == stair.standard_count(d)
+        assert len(std) == standard_count(stair, d)
         assert std == sorted(std, key=order_key(DEGLEX))
         counts.append(len(std))
     if len(counts) < 12:  # the walk stopped: its last count persists
         d = len(counts) - 1
-        assert all(stair.standard_count(e) == counts[-1] for e in range(d + 1, d + 6))
+        assert all(standard_count(stair, e) == counts[-1] for e in range(d + 1, d + 6))
 
 
 # ---------------------------------------------------------------------------
