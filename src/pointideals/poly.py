@@ -205,18 +205,6 @@ class Polynomial:
         return poly_str(self)
 
 
-_ONE = Fraction(1)
-
-
-def monomial_value(exp, point):
-    """Exact value of X^exp at a point whose coordinates are Fractions."""
-    v = _ONE
-    for x, e in zip(point, exp):
-        if e:
-            v *= x ** e
-    return v
-
-
 # ---------------------------------------------------------------------------
 # homogenization
 

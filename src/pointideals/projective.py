@@ -9,16 +9,20 @@ by degree into the basis of the union by the same per-degree kernel, on
 normal forms modulo both bases (merge), taken by multiplication from a memo
 (_normal_forms), not by division.  Fed evaluation vectors at the points,
 that kernel gives the deglex or degrevlex basis directly (projective_bm).
+The kernel walks degree by degree over the standard monomials of the
+corners found so far (standard_walk), by set lookups, never dividing.
 The chart recursion's result is certified independently: a basis whose
-elements vanish and whose staircase counts match the Hilbert function
-(the standard counts of the same kernel walk on evaluation vectors, which
-stops once they reach the point count) is accepted without S-pairs; any
-other basis is rejected, and only then are its S-pairs reduced, so that the
-reasons name each failing check.
+elements vanish (an int sum per element and point, at the point's integer
+vector) and whose staircase counts match the Hilbert function (the standard
+counts of the same kernel walk on evaluation vectors, which stops once they
+reach the point count) is accepted without S-pairs; any other basis is
+rejected, and only then are its S-pairs reduced, so that the reasons name
+each failing check.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import count, islice, product, repeat
 from math import lcm, prod
@@ -38,7 +42,6 @@ from .poly import (
     GroebnerBasis,
     Polynomial,
     exp_divides,
-    monomial_value,
     normal_form,
     order_key,
     s_polynomial,
@@ -133,40 +136,49 @@ def standard_walk(arity, corners, order):
     """Walk the standard monomials of the monomial ideal generated by
     `corners` degree by degree, and stop once their count persists.
 
-    Yields (d, candidates) for d = 0, 1, ...: the unit monomial, then the
-    one-variable multiples of degree d-1's standard monomials that no corner
-    divides, in increasing order (the only use of `order`).  Every standard
-    monomial is a candidate, as its divisors are standard.  The caller may
-    append corners of degree d to `corners` before resuming; those
+    Yields (d, candidates) for d = 0, 1, ...: the degree-d monomials that no
+    corner divides, in increasing order (the only use of `order`), found by
+    set lookups: a one-variable multiple e of degree d-1's standard
+    monomials is a candidate iff e is not a corner and every e - e_i with
+    e_i <= e is standard.  A corner b other than e that divides e divides
+    some such e - e_i, and no corner divides a divisor of e if none divides
+    e; so the corners need not be minimal.  The caller may append corners
+    of degree d or more to `corners` before resuming; those among the
     candidates are then not standard.  The walk ends after a degree d whose
     standard count c equals that of d-1, with c <= d-1 and no corner beyond
     degree d-1: then Macaulay's bound is c^<d-1> = c, so by Gotzmann's
     persistence theorem the count is c in every higher degree."""
     key = order_key(order)
-    border = {(0,) * arity}
+    known = set(corners)
+    # border[e] counts the i with e - e_i standard in degree d-1
+    border = Counter({(0,) * arity: 0})
     prev = None  # standard count of the previous degree
     for d in count():
-        candidates = sorted((e for e in border if not any(exp_divides(b, e) for b in corners)), key=key)
-        known = len(corners)
+        candidates = sorted((e for e, k in border.items() if k == arity - e.count(0) and e not in known), key=key)
+        seen = len(corners)
         yield d, candidates
-        new = corners[known:]
-        standard = [e for e in candidates if e not in new]
+        known.update(corners[seen:])
+        standard = [e for e in candidates if e not in known]
         c = len(standard)
         if c == prev and c <= d - 1 and all(total_degree(b) <= d - 1 for b in corners):
             return
         prev = c
-        border = {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(arity)}
+        border = Counter(e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(arity))
+
+
+def _integer_points(pointset):
+    """(q, q*p) for each point p: q is the lcm of p's denominators, so q*p
+    is an int vector, p's integer representative."""
+    scales = [lcm(*(x.denominator for x in p)) for p in pointset.points]
+    return [(q, [x.numerator * (q // x.denominator) for x in p]) for q, p in zip(scales, pointset.points)]
 
 
 def _evaluation_rows(pointset):
     """rows(candidates) for _kernel_walk: each candidate's values at the
-    points, each point p taken at its integer vector q*p, q the lcm of p's
-    denominators.  That scales p's entry of every degree-d vector by q^d,
-    which leaves every dependency unchanged and hands the kernel ints."""
-    vectors = []
-    for p in pointset.points:
-        q = lcm(*(x.denominator for x in p))
-        vectors.append([x.numerator * (q // x.denominator) for x in p])
+    points, each point p taken at its integer vector q*p (_integer_points).
+    That scales p's entry of every degree-d vector by q^d, which leaves
+    every dependency unchanged and hands the kernel ints."""
+    vectors = [v for _, v in _integer_points(pointset)]
 
     def rows(candidates):
         return [[prod(map(pow, v, gamma)) for v in vectors] for gamma in candidates]
@@ -455,13 +467,21 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
     only when that proves gb to be the reduced basis, and then no S-pair is
     reduced.  Otherwise every S-pair is reduced once: the failing ones are
     the reasons, and the comparison's reason stands only if every pair
-    reduces to zero.  A zero element is reported and reduces nothing."""
+    reduces to zero.  A zero element is reported and reduces nothing.
+
+    The vanishing check sums ints: for g of top degree T, D the lcm of its
+    coefficients' denominators and (q, q*p) a point's integer pair
+    (_integer_points), sum((D*c_e) * q^(T-|e|) * (q*p)^e) over g's terms
+    c_e*X^e is D * q^T * g(p), zero iff g(p) is.  Every q^(T-|e|) is 1 for a
+    homogeneous g, and the same sum serves non-homogeneous elements and
+    affine points, so the verdicts and reasons are those over Q."""
     elements = gb.elements
     mismatched = [g.arity for g in elements if g.arity != arity]
     if mismatched:
         return ["basis arity %d does not match ambient %d" % (mismatched[0], arity)]
     reasons = []
-    tables = [{} for _ in pointset.points]  # monomial values, shared by all elements
+    points = _integer_points(pointset)
+    tables = [{} for _ in points]  # monomial values at q*p, shared by all elements
     for idx, g in enumerate(elements):
         if g.is_zero():
             reasons.append("element %d is zero" % idx)
@@ -470,9 +490,12 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
             reasons.append("element %d is not homogeneous: %s" % (idx, g))
         if g.leading(order)[1] != 1:
             reasons.append("element %d is not monic" % idx)
-        for p, table in zip(pointset.points, tables):
-            table.update((e, monomial_value(e, p)) for e in g.terms.keys() - table.keys())
-            if sum(c * table[e] for e, c in g.terms.items()) != 0:
+        scale = lcm(*(c.denominator for c in g.terms.values()))
+        top = g.total_degree()
+        terms = [(e, c.numerator * (scale // c.denominator), top - total_degree(e)) for e, c in g.terms.items()]
+        for p, (q, v), table in zip(pointset.points, points, tables):
+            table.update((e, prod(map(pow, v, e))) for e in g.terms.keys() - table.keys())
+            if sum(a * q**k * table[e] for e, a, k in terms):
                 reasons.append("element %d does not vanish at %r" % (idx, [str(x) for x in p]))
                 break
     for i, g in enumerate(elements):

@@ -10,8 +10,9 @@ form and certificates that rebuild the remainder on every step and reduce
 every S-pair, the merge that solves one linear system per candidate, the
 cone_basis that solves one per candidate and degree offset, and
 Buchberger's algorithm, the reference of the per-degree evaluation walk in
-any degree order.  Polynomial evaluation and per-degree standard counts
-are brute-force helpers that only the tests use.
+any degree order.  Monomial and polynomial evaluation over the rationals
+and per-degree standard counts are brute-force helpers that only the tests
+use.
 """
 
 import heapq
@@ -39,7 +40,6 @@ from pointideals.poly import (
     exp_lcm,
     exp_sub,
     homogenize,
-    monomial_value,
     monomials_of_degree,
     normal_form,
     order_key,
@@ -212,6 +212,15 @@ def reference_hilbert_function(pointset, d):
 
 # ---------------------------------------------------------------------------
 # evaluation and standard counts by brute force
+
+
+def monomial_value(exp, point):
+    """Exact value of X^exp at a point whose coordinates are Fractions."""
+    v = Fraction(1)
+    for x, e in zip(point, exp):
+        if e:
+            v *= x**e
+    return v
 
 
 def evaluate(p, point):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import canonical_element, evaluate, random_affine, standard_count
+from helpers import canonical_element, evaluate, monomial_value, random_affine, standard_count
 from pointideals import (
     DEGLEX,
     LEX,
@@ -21,7 +21,7 @@ from pointideals import (
     staircase_of,
 )
 from pointideals import affine
-from pointideals.poly import monomial_value, order_key
+from pointideals.poly import order_key
 
 # ---------------------------------------------------------------------------
 # point-set construction

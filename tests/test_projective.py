@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     buchberger,
+    evaluate,
+    monomial_value,
     random_affine,
     random_fraction,
     random_projective,
@@ -44,7 +46,7 @@ from pointideals import (
     staircase_of,
     unit_basis,
 )
-from pointideals.poly import LEX, monomials_of_degree, normal_form, order_key, s_polynomial
+from pointideals.poly import LEX, exp_divides, monomials_of_degree, normal_form, order_key, s_polynomial
 from pointideals.projective import _normal_forms, hilbert_values, standard_walk
 
 P1_THREE = [[1, 0], [1, 1], [0, 1]]
@@ -578,6 +580,50 @@ def test_standard_walk_takes_corners_found_on_the_way():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
+def test_standard_walk_takes_corners_appended_at_any_degree(seed):
+    # merge-style: at each degree some candidates become corners, and now
+    # and then a monomial of that degree or higher is appended as well; the
+    # candidates are always the monomials no corner known so far divides
+    rng = random.Random(seed)
+    arity = rng.randint(1, 4)
+    corners = [tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(rng.randint(0, 3))]
+    key = order_key(DEGLEX)
+    degrees = 0
+    for d, candidates in islice(standard_walk(arity, corners, DEGLEX), 10):
+        free = [e for e in monomials_of_degree(arity, d) if not any(exp_divides(b, e) for b in corners)]
+        assert candidates == sorted(free, key=key)
+        corners.extend(e for e in candidates if rng.random() < 0.2)
+        if rng.random() < 0.3:
+            corners.append(rng.choice(list(monomials_of_degree(arity, d + rng.randint(0, 2)))))
+        degrees += 1
+    if degrees < 10:  # the walk stopped: its last count persists
+        stair = Staircase(arity, tuple(corners))
+        last = standard_count(stair, degrees - 1)
+        assert all(standard_count(stair, e) == last for e in range(degrees, degrees + 5))
+
+
+def test_standard_walk_divides_nothing(monkeypatch):
+    # candidates come from set lookups on the previous degree's standard
+    # monomials, not from scanning the corners
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return exp_divides(a, b)
+
+    monkeypatch.setattr("pointideals.projective.exp_divides", counted)
+    rng = random.Random(2718)
+    walked = 0
+    for _ in range(30):
+        arity = rng.randint(1, 4)
+        corners = [tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(rng.randint(1, 6))]
+        walked += sum(len(c) for _, c in islice(standard_walk(arity, corners, DEGLEX), 12))
+    assert walked > 0
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
 def test_standard_walk_matches_standard_count(seed):
     rng = random.Random(seed)
     arity = rng.randint(1, 4)
@@ -613,6 +659,17 @@ def test_axes_count_points(seed, n, s):
     gb = projective_gb(ps)
     census = axis_census(_stair(gb, n + 1))
     assert census.total == s
+    assert list(census.per_direction) == [len(c.points) for c in split_charts(ps)]
+
+
+def test_projective_gb_at_the_north_star_size():
+    # 25 generic points of P^3, the largest projective size the benchmark
+    # aims at: a certified basis whose axes split like the charts
+    ps = random_projective(random.Random(2525), 3, 25)
+    gb = projective_gb(ps)
+    assert certify(gb, ps).passed
+    census = axis_census(staircase_of(gb))
+    assert census.total == 25
     assert list(census.per_direction) == [len(c.points) for c in split_charts(ps)]
 
 
@@ -703,6 +760,57 @@ def test_certificates_match_reference_on_random_candidates(seed):
         gb = buchberger_moeller(ps, rng.choice([LEX, DEGLEX]))[0]
         for cand, points in _candidates(gb, ps, other, rng):
             assert affine_certify(cand, points) == reference_affine_certify(cand, points)
+
+
+def _inhomogeneous_candidates(gb, ps, rng):
+    """Per element: a lower-degree term added, a coefficient scaled by 7/3,
+    and both, the added term chosen to make the element vanish at the first
+    point.  That element vanishes there over Q, but a sum that weighted its
+    terms by the wrong powers of the point's denominators would not."""
+    out = []
+    for i, g in enumerate(gb.elements):
+        top = g.total_degree()
+        if top == 0:
+            continue
+        low = rng.choice([e for d in range(top) for e in monomials_of_degree(g.arity, d)])
+        exp = sorted(g.terms)[rng.randrange(len(g.terms))]
+        scaled = Polynomial(g.arity, {**g.terms, exp: g.terms[exp] * Fraction(7, 3)})
+        mutants = [g + Polynomial.monomial(g.arity, low, Fraction(rng.randint(1, 5), rng.randint(1, 4))), scaled]
+        value = monomial_value(low, ps.points[0])
+        residue = evaluate(scaled, ps.points[0])
+        if value and residue:
+            mutants.append(scaled - Polynomial.monomial(g.arity, low, residue / value))
+        for h in mutants:
+            out.append(GroebnerBasis(gb.order, gb.elements[:i] + (h,) + gb.elements[i + 1 :]))
+    return out
+
+
+def test_certificates_match_reference_on_inhomogeneous_candidates():
+    # points with denominators 2 and 3, so that a point's integer vector is
+    # q*p with q > 1, and q^(T - |e|) matters for a non-homogeneous element
+    rng = random.Random(6060)
+    vanish_at_first = 0
+    for _ in range(10):
+        n = rng.randint(1, 2)
+        s = rng.randint(2, 5)
+        rows = set()
+        while len(rows) < s:
+            rows.add((Fraction(1), Fraction(rng.choice([-5, -3, -1, 1, 3, 5]), 2))
+                     + tuple(Fraction(rng.randint(-4, 4), 3) for _ in range(n - 1)))
+        ps = projective_points(n, [list(r) for r in sorted(rows)])
+        for cand in _inhomogeneous_candidates(projective_gb(ps), ps, rng):
+            report = certify(cand, ps)
+            assert report == reference_certify(cand, ps)
+            assert not report.passed
+            first = "does not vanish at %r" % ([str(x) for x in ps.points[0]],)
+            vanish_at_first += not any(r.endswith(first) for r in report.reasons)
+        aff = affine_points(n, sorted({
+            tuple(Fraction(rng.choice([-5, -1, 1, 5]), rng.choice([2, 3])) for _ in range(n)) for _ in range(s)
+        }))
+        for order in (LEX, DEGLEX):
+            for cand in _inhomogeneous_candidates(buchberger_moeller(aff, order)[0], aff, rng):
+                assert affine_certify(cand, aff) == reference_affine_certify(cand, aff)
+    assert vanish_at_first > 0
 
 
 def test_accepted_bases_reduce_no_s_pair(monkeypatch):
