@@ -15,8 +15,9 @@ print("affine lex basis (variables X2, X3):")
 for g in gb_lex.elements:
     print("  ", poly_str(g, LEX, first_var=2))
 
-trace = {}
-gb_hom = cone_basis(chart, trace=trace)
+gb_hom = cone_basis(chart)
+# X1 is the first variable: e[0] is the offset of the projected corner e[1:]
+trace = {e[1:]: e[0] for e in sorted(gb_hom.leading_exponents(), key=lambda e: e[:0:-1])}
 print("\nhomogeneous deglex basis of the cone (X1 is the new smallest variable):")
 for g in gb_hom.elements:
     print("  ", poly_str(g))

@@ -37,8 +37,6 @@ from .projective import (
     axis_census,
     certify,
     hilbert_function,
-    lift_infinite_part,
-    merge,
     projective_bm,
     projective_gb,
     split_charts,
@@ -69,8 +67,6 @@ __all__ = [
     "poly_str",
     "unit_basis",
     "cone_basis",
-    "lift_infinite_part",
-    "merge",
     "projective_bm",
     "projective_gb",
     "split_charts",

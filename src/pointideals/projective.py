@@ -1,16 +1,19 @@
 """Vanishing ideals of finite projective point sets.
 
 A projective point set is split into charts by the index of the first
-nonzero coordinate.  The deglex basis of the cone over the finite chart is
-built from the lex basis of the affine chart (cone_basis): degree by degree,
-its elements are the kernel of the map to lex normal forms.  The
-hyperplane-at-infinity part is lifted, and the two bases are merged degree
-by degree into the basis of the union by the same per-degree kernel, on
-normal forms modulo both bases (merge), taken by multiplication from a memo
-(_normal_forms), not by division.  Fed evaluation vectors at the points,
-that kernel gives the deglex or degrevlex basis directly (projective_bm).
-The kernel walks degree by degree over the standard monomials of the
-corners found so far (standard_walk), by set lookups, never dividing.
+nonzero coordinate, and its basis is built chart by chart from the last:
+each level of the recursion adds one chart's points to those found so far,
+which lie on the level's hyperplane at infinity {X1 = 0} (_level).  A form
+vanishes on both parts iff its restriction F(0, x) lies in the ideal of the
+part at infinity and F(1, x) in the chart's affine ideal, so the level's
+ideal is, degree by degree, the kernel of the map to the two normal forms,
+modulo the basis at infinity and the chart's lex basis, taken by
+multiplication from a memo (_normal_forms), not by division.  The level
+with no points at infinity is the cone over the chart (cone_basis).  Fed
+evaluation vectors at the points, the same per-degree kernel gives the
+deglex or degrevlex basis directly (projective_bm).  The kernel walks
+degree by degree over the standard monomials of the corners found so far
+(standard_walk), by set lookups, never dividing.
 The chart recursion's result is certified independently: a basis whose
 elements vanish (an int sum per element and point, at the point's integer
 vector) and whose staircase counts match the Hilbert function (the standard
@@ -68,69 +71,7 @@ def split_charts(pointset):
 
 
 # ---------------------------------------------------------------------------
-# chart-1 basis via homogenization
-
-def cone_basis(chart, trace=None):
-    """Reduced deglex basis of the ideal of the lines through the chart's
-    affine representatives, inside the ring with one extra (smallest)
-    variable X1.
-
-    A form F of degree d vanishes on those lines iff F(1, x) lies in the
-    affine ideal I, that is iff the normal form of F(1, x) modulo the lex
-    basis of I is zero.  So the degree-d part of the cone ideal is the
-    kernel of F -> NF(F(1, x)), walked by _degree_kernel.  The vector of a
-    candidate gamma is taken over the s lex standard monomials at
-    beta = gamma[1:]: the coefficients of NF(X^beta), taken by
-    multiplication and memoised per beta (_normal_forms).
-
-    When a dict is passed as `trace`, it maps every projected corner
-    e[1:] of a leading exponent e to its degree offset e[0], the power of
-    X1 by which its element's degree exceeds |e[1:]|, in increasing lex
-    order of e[1:].
-    """
-    if chart.mode != AFFINE:
-        raise ValueError("cone_basis needs an affine chart")
-    if not chart.points:
-        raise ValueError("cone_basis needs a nonempty chart")
-    n = chart.dimension
-    glex, _, dstd = buchberger_moeller(chart, LEX)
-    nf = _normal_forms(glex)
-
-    def rows(candidates):
-        return [[v.get(beta, 0) for beta in dstd] for v in (nf(gamma[1:]) for gamma in candidates)]
-
-    gb = _degree_kernel(n + 1, DEGLEX, len(dstd), rows)
-    if trace is not None:
-        lexkey = order_key(LEX)
-        for e in sorted(gb.leading_exponents(), key=lambda e: lexkey(e[1:])):
-            trace[e[1:]] = e[0]
-    return gb
-
-
-# ---------------------------------------------------------------------------
-# lifting the part at infinity
-
-def lift_infinite_part(gb_sub):
-    """Re-embed the basis of a point set inside the hyperplane {X1 = 0}.
-
-    Adds X1 as a generator and shifts every exponent by a leading zero;
-    the result is again a reduced deglex basis in the enlarged ring."""
-    if gb_sub.is_zero_ideal():
-        # zero ideal of the sub-space: the hyperplane itself remains
-        raise ValueError("lift of a zero ideal needs an explicit arity")
-    arity = gb_sub.arity + 1
-    if gb_sub.is_unit():
-        return unit_basis(arity)
-    elements = [Polynomial.variable(arity, 0)]
-    for g in gb_sub.elements:
-        elements.append(Polynomial(arity, [((0,) + e, c) for e, c in g.terms.items()]))
-    key = order_key(DEGLEX)
-    elements.sort(key=lambda h: key(h.leading(DEGLEX)[0]))
-    return GroebnerBasis(DEGLEX, tuple(elements))
-
-
-# ---------------------------------------------------------------------------
-# merging
+# the per-degree kernel
 
 def standard_walk(arity, corners, order):
     """Walk the standard monomials of the monomial ideal generated by
@@ -228,24 +169,36 @@ def _kernel_walk(arity, order, rows):
 
 def _degree_kernel(arity, order, s, rows):
     """Reduced basis, in `order`, of the ideal _kernel_walk walks on rows,
-    whose standard count must settle at the point count s.
+    which must be the vanishing ideal of s points.
 
-    Its callers are cone_basis and merge, on normal forms by multiplication
-    (_normal_forms), and projective_bm, on evaluation vectors; hilbert_values
-    walks the same kernel on evaluation vectors for the counts alone.  The
-    errors name merge, the only caller that can reach them: for cone_basis
-    and projective_bm the counts are the Hilbert function of s distinct
-    points, which reaches s, and the walk stops by degree s + 1."""
+    Its callers are _level, on normal forms by multiplication
+    (_normal_forms), and projective_bm, on evaluation vectors;
+    hilbert_values walks the same kernel on evaluation vectors for the
+    counts alone.  Full-degree rule: once a degree has s standard
+    monomials, a later degree with exactly s candidates is all standard,
+    and rows is not called for it.  It needs the precondition: the
+    standard counts are then the Hilbert function H of s points, which
+    never decreases and never exceeds s, so H is s from there on, and the
+    candidates include the H(d) standard monomials.  The errors name the
+    chart level, as only a level fed an inconsistent s or basis at
+    infinity reaches them: the counts of s distinct points reach s, and
+    the walk stops by degree s + 1."""
+    full = False  # some degree had s standard monomials
+
+    def kernel_rows(candidates):
+        return None if full and len(candidates) == s else rows(candidates)
+
     elements = []
-    for d, standard, new in _kernel_walk(arity, order, rows):
+    for d, standard, new in _kernel_walk(arity, order, kernel_rows):
         if d > 4 * s + 8:
-            raise RuntimeError("merge failed to stabilize by degree %d" % d)
+            raise RuntimeError("chart level failed to stabilize by degree %d" % d)
         # corners are found degree by degree in increasing order
         elements += new
+        full = full or len(standard) == s
     if len(standard) != s:
         raise ValueError(
-            "merged staircase stabilizes at %d standard monomials per degree, "
-            "expected %d; the merged point sets are inconsistent" % (len(standard), s)
+            "chart level stabilizes at %d standard monomials per degree, "
+            "expected %d; its point sets are inconsistent" % (len(standard), s)
         )
     return GroebnerBasis(order, tuple(elements))
 
@@ -293,45 +246,59 @@ def _normal_forms(gb):
     return nf
 
 
-def merge(gb0, gb1, s):
-    """Reduced deglex basis of the intersection of two homogeneous
-    vanishing ideals, given their reduced deglex bases and the total point
-    count s.
+# ---------------------------------------------------------------------------
+# chart levels
 
-    The degree-d part of the intersection is the kernel of the linear map
-    f -> (NF0(f), NF1(f)) to the normal forms modulo gb0 and gb1, walked by
-    _degree_kernel with vectors keyed by (side, exponent).  A corner lies in
-    C0 and C1, the staircases of gb0 and gb1: outside C0, NF0(gamma) = gamma
-    is a term of no smaller monomial's NF0, so the vector of gamma is
-    independent.  Hence a degree with no candidate in both is all standard,
-    and no normal form is taken there.  Each side's normal forms come by
-    multiplication from one memo (_normal_forms) for the whole walk."""
-    if gb0.order != DEGLEX or gb1.order != DEGLEX:
-        raise ValueError("merge needs deglex bases")
-    if gb1.is_unit():
-        return gb0
-    if gb0.is_unit():
-        return gb1
-    if gb0.is_zero_ideal() or gb1.is_zero_ideal():
-        return GroebnerBasis(DEGLEX, ())
-    m = gb0.arity
-    if gb1.arity != m:
-        raise ValueError("arity mismatch: %d vs %d" % (m, gb1.arity))
-    sides = ((_normal_forms(gb0), staircase_of(gb0)), (_normal_forms(gb1), staircase_of(gb1)))
+def _level(arity, s, infinite, chart):
+    """Reduced deglex basis of the ideal of the s points of one level of
+    the chart recursion, in `arity` variables with X1 first: those on the
+    hyperplane {X1 = 0}, whose ideal in the other variables has the reduced
+    deglex basis `infinite` (None if there are none), and those of the
+    affine chart {X1 = 1}, `chart` (which may be empty).
+
+    A form F vanishes at a point (0, p) iff F(0, x) does at p, and at a
+    point (1, p) iff F(1, x) does.  So F lies in the ideal iff F(0, x) lies
+    in the ideal of the part at infinity and F(1, x) in the chart's affine
+    ideal I, that is iff both normal forms vanish: NF(F(0, x)) modulo
+    `infinite` and NF(F(1, x)) modulo the lex basis of I.  The degree-d
+    part of the ideal is the kernel of that map, walked by _degree_kernel
+    with vectors keyed by (side, exponent).  X^gamma restricts to
+    x^gamma[1:] on the chart, and at infinity to x^gamma[1:] if gamma[0] is
+    0 and to zero otherwise.  A side is present only if it holds points.
+    Each side's normal forms come by multiplication from one memo
+    (_normal_forms) for the whole walk.  The ideal of a part at infinity
+    that is all of its space (a point of P^0) is zero, and _normal_forms of
+    its empty basis is the identity, so it needs no branch: there, F(0, x)
+    is in the ideal iff it is zero."""
+    sides = []
+    if infinite is not None:
+        sides.append((0, _normal_forms(infinite)))
+    if chart.points:
+        sides.append((1, _normal_forms(buchberger_moeller(chart, LEX)[0])))
 
     def rows(candidates):
-        if not any(all(st.contains(g) for _, st in sides) for g in candidates):
-            return None
         vecs = []
         for gamma in candidates:
             vec = {}
-            for side, (nf, _) in enumerate(sides):
-                vec.update(((side, e), c) for e, c in nf(gamma).items())
+            for side, nf in sides:
+                if side or not gamma[0]:  # at infinity, X1 * X^m restricts to 0
+                    vec.update(((side, e), c) for e, c in nf(gamma[1:]).items())
             vecs.append(vec)
         columns = sorted(set().union(*vecs))
         return [[vec.get(col, 0) for col in columns] for vec in vecs]
 
-    return _degree_kernel(m, DEGLEX, s, rows)
+    return _degree_kernel(arity, DEGLEX, s, rows)
+
+
+def cone_basis(chart):
+    """Reduced deglex basis of the ideal of the lines through the chart's
+    affine representatives, inside the ring with one extra (smallest)
+    variable X1: the level with no points at infinity (_level)."""
+    if chart.mode != AFFINE:
+        raise ValueError("cone_basis needs an affine chart")
+    if not chart.points:
+        raise ValueError("cone_basis needs a nonempty chart")
+    return _level(chart.dimension + 1, len(chart.points), None, chart)
 
 
 def projective_bm(pointset, order):
@@ -353,28 +320,23 @@ def projective_bm(pointset, order):
 def projective_gb(pointset):
     """Reduced deglex Groebner basis of the vanishing ideal of a projective
     point set, built chart by chart over the dimension and certified before
-    return."""
+    return.
+
+    The charts are walked from the last to the first.  The level of a
+    chart holds the points of that chart and of the later ones, in the
+    variables from the chart's own on; the basis of the later charts'
+    points is its part at infinity (_level).  Levels with no points so far
+    are skipped."""
     if pointset.mode != PROJECTIVE:
         raise ValueError("projective_gb needs a projective point set")
     n = pointset.dimension
     if not pointset.points:
         return unit_basis(n + 1)
-    charts = split_charts(pointset)
-    current = unit_basis(0)
-    count = 0
-    for j in range(n + 1, 0, -1):
-        arity = n + 2 - j
-        if current.is_zero_ideal():  # the ideal of all of {X1 = 0} is (X1)
-            gb0 = GroebnerBasis(DEGLEX, (Polynomial.variable(arity, 0),))
-        else:
-            gb0 = lift_infinite_part(current)
-        chart = charts[j - 1]
-        if chart.points:
-            gb1 = cone_basis(chart)
-            count += len(chart.points)
-        else:
-            gb1 = unit_basis(arity)
-        current = merge(gb0, gb1, count)
+    current, s = None, 0
+    for j, chart in reversed(list(enumerate(split_charts(pointset)))):
+        s += len(chart.points)
+        if s:
+            current = _level(n + 1 - j, s, current, chart)
     report = certify(current, pointset)
     if not report.passed:
         raise ArithmeticError("internal certification failed: %s" % "; ".join(report.reasons))
@@ -498,12 +460,10 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
             if sum(a * q**k * table[e] for e, a, k in terms):
                 reasons.append("element %d does not vanish at %r" % (idx, [str(x) for x in p]))
                 break
+    leads = [None if h.is_zero() else h.leading(order)[0] for h in elements]
     for i, g in enumerate(elements):
-        for j, h in enumerate(elements):
-            if i == j or h.is_zero():
-                continue
-            lh = h.leading(order)[0]
-            if any(exp_divides(lh, e) for e in g.terms):
+        for j, lh in enumerate(leads):
+            if i != j and lh is not None and any(exp_divides(lh, e) for e in g.terms):
                 reasons.append("element %d is reducible by element %d" % (i, j))
     if reasons:
         return reasons

@@ -7,12 +7,13 @@ references are the straightforward versions of faster library code: a
 dense Gauss-Jordan rref, the echelon kernel on Fraction rows, the Hilbert
 function as the rank of all degree-d monomials on Fraction rows, the normal
 form and certificates that rebuild the remainder on every step and reduce
-every S-pair, the merge that solves one linear system per candidate, the
-cone_basis that solves one per candidate and degree offset, and
-Buchberger's algorithm, the reference of the per-degree evaluation walk in
-any degree order.  Monomial and polynomial evaluation over the rationals
-and per-degree standard counts are brute-force helpers that only the tests
-use.
+every S-pair, the merge that solves one linear system per candidate and
+the lift of the part at infinity that it was fed, the cone_basis that
+solves one per candidate and degree offset, and Buchberger's algorithm,
+the reference of the per-degree evaluation walk in any degree order.
+Monomial and polynomial evaluation over the rationals, per-degree standard
+counts and a cone basis's degree offsets are brute-force helpers that only
+the tests use.
 """
 
 import heapq
@@ -33,6 +34,7 @@ from pointideals import (
     projective_points,
     s_polynomial,
     staircase_of,
+    unit_basis,
 )
 from pointideals.poly import (
     exp_add,
@@ -492,6 +494,31 @@ def reference_merge(gb0, gb1, s):
 
 
 # ---------------------------------------------------------------------------
+# the part at infinity re-embedded, as the chart recursion first did before
+# merging it with the cone basis; the reference_merge differential of each
+# chart level takes it as its first basis
+
+
+def reference_lift(gb_sub):
+    """Re-embed the basis of a point set inside the hyperplane {X1 = 0}.
+
+    Adds X1 as a generator and shifts every exponent by a leading zero;
+    the result is again a reduced deglex basis in the enlarged ring."""
+    if gb_sub.is_zero_ideal():
+        # zero ideal of the sub-space: the hyperplane itself remains
+        raise ValueError("lift of a zero ideal needs an explicit arity")
+    arity = gb_sub.arity + 1
+    if gb_sub.is_unit():
+        return unit_basis(arity)
+    elements = [Polynomial.variable(arity, 0)]
+    for g in gb_sub.elements:
+        elements.append(Polynomial(arity, [((0,) + e, c) for e, c in g.terms.items()]))
+    key = order_key(DEGLEX)
+    elements.sort(key=lambda h: key(h.leading(DEGLEX)[0]))
+    return GroebnerBasis(DEGLEX, tuple(elements))
+
+
+# ---------------------------------------------------------------------------
 # cone_basis as first written: for each candidate projected corner and each
 # degree offset, one linear system on canonical-element coefficients; the
 # differential reference of the one-kernel-per-degree cone_basis
@@ -508,6 +535,13 @@ def canonical_element(sigma, gb):
     if not all(e == sigma or not stair.contains(e) for e in f.terms):
         raise ArithmeticError("canonical element tail must avoid the staircase")
     return f
+
+
+def cone_offsets(gb):
+    """For a cone basis, every projected corner e[1:] of a leading exponent
+    e mapped to its degree offset e[0], the power of X1 by which its
+    element's degree exceeds |e[1:]|, in increasing lex order of e[1:]."""
+    return {e[1:]: e[0] for e in sorted(gb.leading_exponents(), key=lambda e: e[:0:-1])}
 
 
 def reference_cone_basis(chart, trace=None):

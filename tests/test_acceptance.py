@@ -11,7 +11,7 @@ import json
 import random
 from fractions import Fraction
 
-from helpers import buchberger, random_affine, random_projective
+from helpers import buchberger, cone_offsets, random_affine, random_projective
 from pointideals import (
     DEGLEX,
     DEGREVLEX,
@@ -115,8 +115,8 @@ def test_criterion_4_worked_example_p2(capsys):
 def test_criterion_5_homogenization_degree_jump(capsys):
     from pointideals import affine_points
 
-    trace = {}
-    gb = cone_basis(affine_points(2, [[0, 0], [1, 1], [2, 4]]), trace=trace)
+    gb = cone_basis(affine_points(2, [[0, 0], [1, 1], [2, 4]]))
+    trace = cone_offsets(gb)
     failures = []
     if "X1*X3 - X2^2" not in [poly_str(g) for g in gb.elements]:
         failures.append([poly_str(g) for g in gb.elements])

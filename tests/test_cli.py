@@ -231,7 +231,7 @@ def test_verify_dropped_element_reports_reference_reasons(write, capsys, tmp_pat
 @pytest.mark.parametrize(
     "error",
     [
-        RuntimeError("merge failed to stabilize by degree 13"),
+        RuntimeError("chart level failed to stabilize by degree 13"),
         ArithmeticError("internal certification failed: degree 2: 4 standard monomials but Hilbert function 3"),
     ],
 )

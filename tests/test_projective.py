@@ -1,4 +1,5 @@
-"""Tests for chart decomposition, homogenization, merging and certification."""
+"""Tests for chart decomposition, chart levels, the per-degree kernel and
+certification."""
 
 import random
 import sys
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pointideals
 from helpers import (
     buchberger,
+    cone_offsets,
     evaluate,
     monomial_value,
     random_affine,
@@ -20,6 +23,7 @@ from helpers import (
     reference_certify,
     reference_cone_basis,
     reference_hilbert_function,
+    reference_lift,
     reference_merge,
     standard_count,
 )
@@ -36,8 +40,6 @@ from pointideals import (
     buchberger_moeller,
     certify,
     hilbert_function,
-    lift_infinite_part,
-    merge,
     poly_str,
     projective_bm,
     projective_gb,
@@ -46,8 +48,17 @@ from pointideals import (
     staircase_of,
     unit_basis,
 )
+from pointideals import projective
+from pointideals.linalg import Echelon
 from pointideals.poly import LEX, exp_divides, monomials_of_degree, normal_form, order_key, s_polynomial
-from pointideals.projective import _normal_forms, hilbert_values, standard_walk
+from pointideals.projective import (
+    _degree_kernel,
+    _evaluation_rows,
+    _level,
+    _normal_forms,
+    hilbert_values,
+    standard_walk,
+)
 
 P1_THREE = [[1, 0], [1, 1], [0, 1]]
 P2_COORD = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -91,8 +102,8 @@ def test_cone_basis_two_points_on_a_line():
 
 def test_cone_basis_parabola_chart():
     chart = affine_points(2, [[0, 0], [1, 1], [2, 4]])
-    trace = {}
-    gb = cone_basis(chart, trace=trace)
+    gb = cone_basis(chart)
+    trace = cone_offsets(gb)
     assert [poly_str(g) for g in gb.elements] == [
         "X1*X3 - X2^2",
         "X2*X3 - 3*X2^2 + 2*X1*X2",
@@ -142,16 +153,18 @@ def _chart(rng, n, s, kind, height):
 
 
 def test_cone_basis_matches_reference():
-    # bases, offsets and the trace's insertion order, against the solver of
-    # one linear system per candidate and offset
+    # bases, and the offsets in the reference trace's insertion order,
+    # against the solver of one linear system per candidate and offset
     rng = random.Random(808)
     shapes = [(n, s) for n, top in ((1, 10), (2, 10), (3, 8), (4, 5)) for s in range(1, top + 1)]
     offsets = set()
     for n, s in shapes:
         for kind in ("generic", "line", "moment"):
             chart = _chart(rng, n, s, kind, rng.choice((5, 10**3)))
-            trace, ref_trace = {}, {}
-            assert cone_basis(chart, trace=trace) == reference_cone_basis(chart, trace=ref_trace)
+            ref_trace = {}
+            gb = cone_basis(chart)
+            assert gb == reference_cone_basis(chart, trace=ref_trace)
+            trace = cone_offsets(gb)
             assert list(trace.items()) == list(ref_trace.items())
             offsets.update(trace.values())
     assert max(offsets) >= 2
@@ -165,45 +178,55 @@ def test_cone_basis_rejects_empty_or_projective():
 
 
 # ---------------------------------------------------------------------------
-# lifting the hyperplane at infinity
+# chart levels and the per-degree kernel
 
 
-def test_lift_prepends_variable_and_shifts():
-    inner = GroebnerBasis(
-        DEGLEX, (Polynomial(1, [((2,), Fraction(1)), ((1,), Fraction(-1))]),)
-    )
-    lifted = lift_infinite_part(inner)
-    assert [poly_str(g) for g in lifted.elements] == ["X1", "X2^2 - X2"]
+def test_all_exports_resolve():
+    # a name left in __all__ after its function leaves the package fails here
+    assert [name for name in pointideals.__all__ if not hasattr(pointideals, name)] == []
 
 
-def test_lift_of_unit_is_unit():
-    assert lift_infinite_part(unit_basis(2)).is_unit()
+def test_degree_kernel_rejects_wrong_point_count():
+    # the evaluation rows of three points of P^1 settle at 3 standard
+    # monomials per degree, whether the count given is above or below
+    rows = _evaluation_rows(projective_points(1, P1_THREE))
+    for s in (5, 2):
+        with pytest.raises(ValueError) as err:
+            _degree_kernel(2, DEGLEX, s, rows)
+        assert str(err.value) == (
+            "chart level stabilizes at 3 standard monomials per degree, "
+            "expected %d; its point sets are inconsistent" % s
+        )
 
 
-def test_lift_of_zero_ideal_raises():
-    with pytest.raises(ValueError):
-        lift_infinite_part(GroebnerBasis(DEGLEX, ()))
+def test_degree_kernel_skips_full_degrees(monkeypatch):
+    # once a degree has s standard monomials, a later degree with exactly s
+    # candidates is all standard: from the first such degree on, no vector
+    # is added, while the degrees between still add theirs
+    walked, adds = [], []
 
+    def walk(arity, corners, order):
+        for d, candidates in standard_walk(arity, corners, order):
+            walked.append(len(candidates))
+            yield d, candidates
 
-# ---------------------------------------------------------------------------
-# merging
+    class Counted(Echelon):
+        def add(self, vec):
+            adds.append(len(walked) - 1)
+            return super().add(vec)
 
-
-def test_merge_reassembles_p1_example():
-    gb0 = GroebnerBasis(DEGLEX, (Polynomial.variable(2, 0),))  # ideal of [0:1]
-    gb1 = cone_basis(affine_points(1, [[0], [1]]))  # cone over [1:0],[1:1]
-    merged = merge(gb0, gb1, 3)
-    assert [poly_str(g) for g in merged.elements] == ["X1*X2^2 - X1^2*X2"]
-
-
-def test_merge_rejects_wrong_point_count():
-    gb0 = GroebnerBasis(DEGLEX, (Polynomial.variable(2, 0),))
-    gb1 = cone_basis(affine_points(1, [[0], [1]]))
-    with pytest.raises(ValueError) as err:
-        merge(gb0, gb1, 5)
-    with pytest.raises(ValueError) as ref_err:
-        reference_merge(gb0, gb1, 5)
-    assert str(err.value) == str(ref_err.value)
+    ps = random_projective(random.Random(10), 2, 10)
+    hf = list(islice(hilbert_values(ps), 20))
+    first_full = hf.index(10)
+    monkeypatch.setattr(projective, "standard_walk", walk)
+    monkeypatch.setattr(projective, "Echelon", Counted)
+    for order in (DEGLEX, DEGREVLEX):
+        walked.clear()
+        adds.clear()
+        projective_bm(ps, order)
+        skipped = next(d for d in range(first_full + 1, len(walked)) if walked[d] == 10)
+        assert first_full + 1 in adds
+        assert max(adds) < skipped
 
 
 def _spread_over_charts(rng, n, s):
@@ -217,16 +240,18 @@ def _spread_over_charts(rng, n, s):
     return projective_points(n, [list(r) for r in sorted(rows)])
 
 
-def test_merge_matches_reference(monkeypatch):
-    # every merge projective_gb runs, recorded as (part at infinity, cone
-    # basis, point count) and repeated against the reference
+def test_levels_match_reference_merge(monkeypatch):
+    # every chart level projective_gb runs, recorded as (arity, point
+    # count, basis at infinity, chart), against the merge of the lifted part
+    # at infinity with the cone basis of the chart, as first computed
     calls = []
 
-    def recording(gb0, gb1, s):
-        calls.append((gb0, gb1, s))
-        return merge(gb0, gb1, s)
+    def recording(arity, s, infinite, chart):
+        gb = _level(arity, s, infinite, chart)
+        calls.append((arity, s, infinite, chart, gb))
+        return gb
 
-    monkeypatch.setattr("pointideals.projective.merge", recording)
+    monkeypatch.setattr("pointideals.projective._level", recording)
     rng = random.Random(707)
     charts_used = []
     for i in range(40):
@@ -241,11 +266,18 @@ def test_merge_matches_reference(monkeypatch):
         charts_used.append(sum(1 for c in split_charts(ps) if c.points))
         projective_gb(ps)
     assert sum(1 for k in charts_used if k >= 3) >= 5
-    kernel_passes = 0
-    for gb0, gb1, s in calls:
-        assert merge(gb0, gb1, s) == reference_merge(gb0, gb1, s)
-        kernel_passes += not (gb0.is_unit() or gb1.is_unit())
-    assert kernel_passes >= 20
+    both_sides = 0
+    for arity, s, infinite, chart, gb in calls:
+        if infinite is None:
+            gb0 = unit_basis(arity)
+        elif infinite.is_zero_ideal():  # the ideal of all of {X1 = 0}
+            gb0 = GroebnerBasis(DEGLEX, (Polynomial.variable(arity, 0),))
+        else:
+            gb0 = reference_lift(infinite)
+        gb1 = reference_cone_basis(chart) if chart.points else unit_basis(arity)
+        assert gb == reference_merge(gb0, gb1, s)
+        both_sides += infinite is not None and bool(chart.points)
+    assert both_sides >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +295,7 @@ def test_normal_forms_match_normal_form():
         for ps in (random_projective(rng, n, s), _with_points_at_infinity(rng, n, s)):
             gb = projective_gb(ps)
             bases.append(gb)
-            bases.append(lift_infinite_part(gb))
+            bases.append(reference_lift(gb))
     for gb in bases:
         arity = gb.arity
         top = max(map(sum, gb.leading_exponents())) + 2
@@ -566,7 +598,7 @@ def test_standard_walk_does_not_stop_at_a_false_plateau():
 
 
 def test_standard_walk_takes_corners_found_on_the_way():
-    # merge appends X2^2 when it meets it at degree 2: the counts are then
+    # a kernel walk appends X2^2 when it meets it at degree 2: the counts are then
     # 1, 2, 2, 2, and the walk ends after degree 3, not with X2^2 counted
     corners = []
     degrees = []
@@ -581,7 +613,7 @@ def test_standard_walk_takes_corners_found_on_the_way():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_standard_walk_takes_corners_appended_at_any_degree(seed):
-    # merge-style: at each degree some candidates become corners, and now
+    # as in a kernel walk: at each degree some candidates become corners, and now
     # and then a monomial of that degree or higher is appended as well; the
     # candidates are always the monomials no corner known so far divides
     rng = random.Random(seed)
