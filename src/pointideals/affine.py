@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .linalg import Echelon
+from .linalg import Echelon, cleared
 from .poly import (
     DEGLEX,
     GroebnerBasis,
@@ -146,19 +146,21 @@ def buchberger_moeller(pointset, order):
         return gb, Staircase(n, (origin,)), []
     key = order_key(order)
     heap = [(key(origin), origin)]
-    # evaluation vectors of the heap's monomials: X^e*X_i, pushed by a standard X^e,
-    # is X^e's vector times coordinate i; it exceeds all popped, so is new iff absent
-    values = {origin: [1] * len(pts)}
+    # evaluation vectors of the heap's monomials, as int rows over one den: coordinate i
+    # is the ints c_i over q_i (cleared), so X^e*X_i, pushed by a standard X^e, is X^e's
+    # row times c_i over den * q_i; it exceeds all popped, so is new iff absent
+    columns = [cleared(col) for col in zip(*pts)]
+    values = {origin: ([1] * len(pts), 1)}
     standard = []
     ech = Echelon()
     corners = []
     basis = []
     while heap:
         _, exp = heapq.heappop(heap)
-        vec = values.pop(exp)
+        vec, den = values.pop(exp)
         if any(exp_divides(b, exp) for b in corners):
             continue
-        coeffs = ech.add(vec)
+        coeffs = ech.add(vec, den)
         if coeffs is not None:
             terms = [(exp, Fraction(1))]
             terms.extend((standard[j], -c) for j, c in enumerate(coeffs) if c)
@@ -169,7 +171,8 @@ def buchberger_moeller(pointset, order):
             for i in range(n):
                 ne = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
                 if ne not in values:
-                    values[ne] = [v * p[i] for v, p in zip(vec, pts)]
+                    c, q = columns[i]
+                    values[ne] = ([v * x for v, x in zip(vec, c)], den * q)
                     heapq.heappush(heap, (key(ne), ne))
     if len(standard) != len(pts):
         raise ArithmeticError("standard monomial count must equal point count")

@@ -70,19 +70,6 @@ def order_key(order):
     raise ValueError("unknown term order %r" % (order,))
 
 
-def compare(order, a, b):
-    """Compare two exponent vectors; returns -1, 0 or 1."""
-    if len(a) != len(b):
-        raise ValueError("exponent vectors have different lengths: %d vs %d" % (len(a), len(b)))
-    key = order_key(order)
-    ka, kb = key(a), key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -103,9 +90,12 @@ class Polynomial:
                 raise ValueError("exponent %r does not match arity %d" % (exp, arity))
             if any(x < 0 for x in exp):
                 raise ValueError("negative exponent in %r" % (exp,))
-            c = acc.get(exp, Fraction(0)) + Fraction(coeff)
-            if c:
-                acc[exp] = c
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if exp in acc:
+                coeff += acc[exp]
+            if coeff:
+                acc[exp] = coeff
             else:
                 acc.pop(exp, None)
         object.__setattr__(self, "arity", arity)

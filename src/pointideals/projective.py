@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import count, islice, product, repeat
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .affine import (
     AFFINE,
@@ -37,7 +37,7 @@ from .affine import (
     buchberger_moeller,
     staircase_of,
 )
-from .linalg import Echelon
+from .linalg import Echelon, cleared
 from .poly import (
     DEGLEX,
     DEGREVLEX,
@@ -107,22 +107,15 @@ def standard_walk(arity, corners, order):
         border = Counter(e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(arity))
 
 
-def _integer_points(pointset):
-    """(q, q*p) for each point p: q is the lcm of p's denominators, so q*p
-    is an int vector, p's integer representative."""
-    scales = [lcm(*(x.denominator for x in p)) for p in pointset.points]
-    return [(q, [x.numerator * (q // x.denominator) for x in p]) for q, p in zip(scales, pointset.points)]
-
-
 def _evaluation_rows(pointset):
     """rows(candidates) for _kernel_walk: each candidate's values at the
-    points, each point p taken at its integer vector q*p (_integer_points).
-    That scales p's entry of every degree-d vector by q^d, which leaves
-    every dependency unchanged and hands the kernel ints."""
-    vectors = [v for _, v in _integer_points(pointset)]
+    points, each point p taken at its integer vector q*p (cleared).  That
+    scales p's entry of every degree-d vector by q^d, which leaves every
+    dependency unchanged, so each row goes to the kernel over 1."""
+    vectors = [cleared(p)[0] for p in pointset.points]
 
     def rows(candidates):
-        return [[prod(map(pow, v, gamma)) for v in vectors] for gamma in candidates]
+        return [([prod(map(pow, v, gamma)) for v in vectors], 1) for gamma in candidates]
 
     return rows
 
@@ -134,10 +127,10 @@ def _kernel_walk(arity, order, rows):
     degree-d elements of I's reduced basis in `order`.
 
     rows(candidates) gives the vectors v_d(gamma) of one degree's
-    candidates, or None if none of them can lead an element of I.  The
-    vectors go to one Echelon in increasing order; a candidate whose vector
-    depends on those kept before it is a corner gamma, with element
-    gamma - sum(c_k * kept_k).
+    candidates, each as (int row, positive int den), or None if none of
+    them can lead an element of I.  The vectors go to one Echelon in
+    increasing order; a candidate whose vector depends on those kept
+    before it is a corner gamma, with element gamma - sum(c_k * kept_k).
 
     - A candidate is independent iff it is standard.  A smaller monomial
       of degree d that is not a candidate is a multiple of a corner, so it
@@ -157,8 +150,8 @@ def _kernel_walk(arity, order, rows):
         if vecs is not None:
             ech = Echelon()
             standard = []
-            for gamma, vec in zip(candidates, vecs):
-                coeffs = ech.add(vec)
+            for gamma, (vec, den) in zip(candidates, vecs):
+                coeffs = ech.add(vec, den)
                 if coeffs is None:
                     standard.append(gamma)
                 else:
@@ -205,7 +198,8 @@ def _degree_kernel(arity, order, s, rows):
 
 def _normal_forms(gb):
     """nf(e): the normal form of X^e modulo the reduced, monic basis gb, as
-    a dict {standard exponent: coefficient}, memoised for the life of nf.
+    (den, {standard exponent: int}), the ints over den in lowest terms,
+    memoised for the life of nf.
 
     A standard e is its own normal form, and a leading exponent's is minus
     its element's tail, which is standard as gb is reduced.  Any other e
@@ -213,11 +207,16 @@ def _normal_forms(gb):
     exists, and NF(X^e) = sum(c * NF(X^(m + e_i))) over the terms c*X^m of
     NF(X^(e - e_i)), by multiplication instead of division (FGLM).  Each
     such m is below e - e_i, so m + e_i is below e, and a term order is a
-    well-order: the recursion ends.  A normal form modulo a Groebner basis
-    is unique, so it equals the remainder of any division.  The memo is
-    filled from an explicit stack, so no recursion limit is reached."""
+    well-order: the recursion ends.  The sum runs on ints, over the lcm of
+    the NF(X^(m + e_i))'s denominators times NF(X^(e - e_i))'s.  A normal
+    form modulo a Groebner basis is unique, so it equals the remainder of
+    any division.  The memo is filled from an explicit stack, so no
+    recursion limit is reached."""
     leads = gb.leading_exponents()
-    memo = {le: {e: -c for e, c in g.terms.items() if e != le} for le, g in zip(leads, gb.elements)}
+    memo = {}
+    for le, g in zip(leads, gb.elements):
+        row, den = cleared([-c for c in g.terms.values()])
+        memo[le] = (den, {e: c for e, c in zip(g.terms, row) if e != le})
 
     def nf(exp):
         stack = [exp]
@@ -227,20 +226,24 @@ def _normal_forms(gb):
                 continue
             b = next((b for b in leads if exp_divides(b, e)), None)
             if b is None:
-                memo[e] = {e: 1}
+                memo[e] = (1, {e: 1})
                 continue
             i = next(i for i, (x, y) in enumerate(zip(b, e)) if y > x)
             parent = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            shifted = {m[:i] + (m[i] + 1,) + m[i + 1 :]: c for m, c in memo.get(parent, {}).items()}
+            den, terms = memo.get(parent, (1, {}))
+            shifted = {m[:i] + (m[i] + 1,) + m[i + 1 :]: c for m, c in terms.items()}
             missing = [t for t in (parent, *shifted) if t not in memo]
             if missing:
                 stack += [e, *missing]
                 continue
+            scale = lcm(*(memo[t][0] for t in shifted))
             acc = {}
             for t, c in shifted.items():
-                for f, d in memo[t].items():
+                c *= scale // memo[t][0]
+                for f, d in memo[t][1].items():
                     acc[f] = acc.get(f, 0) + c * d
-            memo[e] = {f: c for f, c in acc.items() if c}
+            g = gcd(den * scale, *acc.values())
+            memo[e] = (den * scale // g, {f: c // g for f, c in acc.items() if c})
         return memo[exp]
 
     return nf
@@ -262,14 +265,15 @@ def _level(arity, s, infinite, chart):
     ideal I, that is iff both normal forms vanish: NF(F(0, x)) modulo
     `infinite` and NF(F(1, x)) modulo the lex basis of I.  The degree-d
     part of the ideal is the kernel of that map, walked by _degree_kernel
-    with vectors keyed by (side, exponent).  X^gamma restricts to
-    x^gamma[1:] on the chart, and at infinity to x^gamma[1:] if gamma[0] is
-    0 and to zero otherwise.  A side is present only if it holds points.
-    Each side's normal forms come by multiplication from one memo
-    (_normal_forms) for the whole walk.  The ideal of a part at infinity
-    that is all of its space (a point of P^0) is zero, and _normal_forms of
-    its empty basis is the identity, so it needs no branch: there, F(0, x)
-    is in the ideal iff it is zero."""
+    on the two sides' int normal forms over the lcm of their denominators,
+    keyed by (side, exponent).  X^gamma restricts to x^gamma[1:] on the
+    chart, and at infinity to x^gamma[1:] if gamma[0] is 0 and to zero
+    otherwise.  A side is present only if it holds points.  Each side's
+    normal forms come by multiplication from one memo (_normal_forms) for
+    the whole walk.  The ideal of a part at infinity that is all of its
+    space (a point of P^0) is zero, and _normal_forms of its empty basis is
+    the identity, so it needs no branch: there, F(0, x) is in the ideal iff
+    it is zero."""
     sides = []
     if infinite is not None:
         sides.append((0, _normal_forms(infinite)))
@@ -279,13 +283,13 @@ def _level(arity, s, infinite, chart):
     def rows(candidates):
         vecs = []
         for gamma in candidates:
-            vec = {}
-            for side, nf in sides:
-                if side or not gamma[0]:  # at infinity, X1 * X^m restricts to 0
-                    vec.update(((side, e), c) for e, c in nf(gamma[1:]).items())
-            vecs.append(vec)
-        columns = sorted(set().union(*vecs))
-        return [[vec.get(col, 0) for col in columns] for vec in vecs]
+            # at infinity, X1 * X^m restricts to 0
+            parts = [(side, nf(gamma[1:])) for side, nf in sides if side or not gamma[0]]
+            den = lcm(*(d for _, (d, _) in parts))
+            vec = {(side, e): c * (den // d) for side, (d, terms) in parts for e, c in terms.items()}
+            vecs.append((vec, den))
+        columns = sorted(set().union(*(vec for vec, _ in vecs)))
+        return [([vec.get(col, 0) for col in columns], den) for vec, den in vecs]
 
     return _degree_kernel(arity, DEGLEX, s, rows)
 
@@ -432,8 +436,8 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
     reduces to zero.  A zero element is reported and reduces nothing.
 
     The vanishing check sums ints: for g of top degree T, D the lcm of its
-    coefficients' denominators and (q, q*p) a point's integer pair
-    (_integer_points), sum((D*c_e) * q^(T-|e|) * (q*p)^e) over g's terms
+    coefficients' denominators and (q*p, q) a point's integer vector and
+    scale (cleared), sum((D*c_e) * q^(T-|e|) * (q*p)^e) over g's terms
     c_e*X^e is D * q^T * g(p), zero iff g(p) is.  Every q^(T-|e|) is 1 for a
     homogeneous g, and the same sum serves non-homogeneous elements and
     affine points, so the verdicts and reasons are those over Q."""
@@ -442,7 +446,7 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
     if mismatched:
         return ["basis arity %d does not match ambient %d" % (mismatched[0], arity)]
     reasons = []
-    points = _integer_points(pointset)
+    points = [cleared(p) for p in pointset.points]
     tables = [{} for _ in points]  # monomial values at q*p, shared by all elements
     for idx, g in enumerate(elements):
         if g.is_zero():
@@ -452,10 +456,9 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
             reasons.append("element %d is not homogeneous: %s" % (idx, g))
         if g.leading(order)[1] != 1:
             reasons.append("element %d is not monic" % idx)
-        scale = lcm(*(c.denominator for c in g.terms.values()))
         top = g.total_degree()
-        terms = [(e, c.numerator * (scale // c.denominator), top - total_degree(e)) for e, c in g.terms.items()]
-        for p, (q, v), table in zip(pointset.points, points, tables):
+        terms = [(e, a, top - total_degree(e)) for e, a in zip(g.terms, cleared(g.terms.values())[0])]
+        for p, (v, q), table in zip(pointset.points, points, tables):
             table.update((e, prod(map(pow, v, e))) for e in g.terms.keys() - table.keys())
             if sum(a * q**k * table[e] for e, a, k in terms):
                 reasons.append("element %d does not vanish at %r" % (idx, [str(x) for x in p]))

@@ -11,14 +11,15 @@ every S-pair, the merge that solves one linear system per candidate and
 the lift of the part at infinity that it was fed, the cone_basis that
 solves one per candidate and degree offset, and Buchberger's algorithm,
 the reference of the per-degree evaluation walk in any degree order.
-Monomial and polynomial evaluation over the rationals, per-degree standard
-counts and a cone basis's degree offsets are brute-force helpers that only
+The term-order comparison, monomial and polynomial evaluation over the
+rationals, per-degree standard counts and a cone basis's degree offsets
+are brute-force helpers that only
 the tests use.
 """
 
 import heapq
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from pointideals import (
     AFFINE,
@@ -68,6 +69,17 @@ def random_projective(rng, n, s):
             lead = next(x for x in row if x)
             pts.add(tuple(x / lead for x in row))
     return projective_points(n, [list(p) for p in sorted(pts)])
+
+
+PRIMES_TO_113 = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+
+
+def prime_height_rows(rng, n, s):
+    """s rows of n rationals whose denominators are distinct primes up to
+    113 (so n * s <= 30), which makes their lcm as large as the primes
+    allow; rows with distinct denominators are distinct points."""
+    primes = iter(rng.sample(PRIMES_TO_113, n * s))
+    return [[Fraction(rng.choice([-1, 1]) * rng.randint(1, p - 1), p) for p in islice(primes, n)] for _ in range(s)]
 
 
 def rref(rows):
@@ -213,7 +225,53 @@ def reference_hilbert_function(pointset, d):
 
 
 # ---------------------------------------------------------------------------
+# Buchberger-Moeller on Fraction rows: the differential reference of
+# buchberger_moeller's integer rows over one denominator
+
+
+def reference_buchberger_moeller(pointset, order):
+    """Reduced basis of the ideal of an affine point set, by
+    Buchberger-Moeller on Fraction rows: each monomial's evaluation vector
+    at the points, from monomial_value, goes to a ReferenceEchelon in
+    increasing order, and multiples of corners are skipped."""
+    n = pointset.dimension
+    key = order_key(order)
+    heap, seen = [(key((0,) * n), (0,) * n)], {(0,) * n}
+    ech = ReferenceEchelon()
+    standard, corners, basis = [], [], []
+    while heap:
+        exp = heapq.heappop(heap)[1]
+        if any(exp_divides(b, exp) for b in corners):
+            continue
+        coeffs = ech.add([monomial_value(exp, p) for p in pointset.points])
+        if coeffs is not None:
+            corners.append(exp)
+            basis.append(Polynomial(n, [(exp, 1)] + [(e, -c) for e, c in zip(standard, coeffs)]))
+            continue
+        standard.append(exp)
+        for i in range(n):
+            ne = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
+            if ne not in seen:
+                seen.add(ne)
+                heapq.heappush(heap, (key(ne), ne))
+    return GroebnerBasis(order, tuple(sorted(basis, key=lambda g: key(g.leading(order)[0]))))
+
+
+# ---------------------------------------------------------------------------
 # evaluation and standard counts by brute force
+
+
+def compare(order, a, b):
+    """Compare two exponent vectors; returns -1, 0 or 1."""
+    if len(a) != len(b):
+        raise ValueError("exponent vectors have different lengths: %d vs %d" % (len(a), len(b)))
+    key = order_key(order)
+    ka, kb = key(a), key(b)
+    if ka < kb:
+        return -1
+    if ka > kb:
+        return 1
+    return 0
 
 
 def monomial_value(exp, point):

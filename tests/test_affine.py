@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import canonical_element, evaluate, monomial_value, random_affine, standard_count
+from helpers import (
+    canonical_element,
+    evaluate,
+    monomial_value,
+    prime_height_rows,
+    random_affine,
+    reference_buchberger_moeller,
+    standard_count,
+)
 from pointideals import (
     DEGLEX,
     LEX,
@@ -133,9 +141,9 @@ def test_incremental_evaluation_vectors_match_monomial_value(monkeypatch):
     fed = []
 
     class Recording(affine.Echelon):
-        def add(self, vec):
-            fed.append(vec)
-            return super().add(vec)
+        def add(self, row, den):
+            fed.append([Fraction(x, den) for x in row])
+            return super().add(row, den)
 
     monkeypatch.setattr(affine, "Echelon", Recording)
     rng = random.Random(505)
@@ -146,6 +154,19 @@ def test_incremental_evaluation_vectors_match_monomial_value(monkeypatch):
             _, stair, standard = buchberger_moeller(ps, order)
             exps = sorted(standard + list(stair.corners), key=order_key(order))
             assert fed == [[monomial_value(e, p) for p in ps.points] for e in exps]
+
+
+def test_matches_reference_buchberger_moeller():
+    # small heights, and coordinate denominators that are distinct primes up
+    # to 113: X^e's row is scaled by the product of q_i^e_i, with q_i the lcm
+    # of coordinate i's denominators, a product of half the primes or more
+    rng = random.Random(113)
+    sets = [random_affine(rng, n, s) for n, s in ((2, 1), (2, 7), (3, 9))]
+    sets += [affine_points(n, prime_height_rows(rng, n, s)) for n, s in ((2, 8), (2, 15), (3, 6), (3, 10))]
+    sets.append(affine_points(2, []))
+    for ps in sets:
+        for order in (LEX, DEGLEX):
+            assert buchberger_moeller(ps, order)[0] == reference_buchberger_moeller(ps, order)
 
 
 def test_requires_affine_mode():

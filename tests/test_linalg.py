@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ReferenceEchelon, reference_solve, rref
-from pointideals.linalg import Echelon
+from pointideals.linalg import Echelon, cleared
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 # ints beside Fractions with large denominators, so that a vector's ints must
@@ -32,7 +32,7 @@ def matrices(max_dim=4):
 def rank(rows):
     ech = Echelon()
     for row in rows:
-        ech.add(row)
+        ech.add(*cleared(row))
     return ech.rank
 
 
@@ -42,8 +42,8 @@ def solve(rows, b):
     stores nothing and returns its coefficients; an independent one means
     the system is inconsistent."""
     ech = Echelon()
-    independent = [ech.add(col) is None for col in zip(*rows)]
-    coeffs = ech.add(b)
+    independent = [ech.add(*cleared(col)) is None for col in zip(*rows)]
+    coeffs = ech.add(*cleared(b))
     if coeffs is None:
         return None
     stored = iter(coeffs)
@@ -64,14 +64,14 @@ def test_rank_examples():
 
 def test_add_returns_dependency_coefficients():
     ech = Echelon()
-    assert ech.add([1, 1, 0]) is None
-    assert ech.add([0, 1, 1]) is None
-    assert ech.add([2, 3, 1]) == [2, 1]
-    assert ech.add([0, 0, 0]) == [0, 0]
-    assert ech.add([1, 2, 1]) == [1, 1]
+    assert ech.add([1, 1, 0], 1) is None
+    assert ech.add([0, 1, 1], 1) is None
+    assert ech.add([2, 3, 1], 1) == [2, 1]
+    assert ech.add([0, 0, 0], 1) == [0, 0]
+    assert ech.add([1, 2, 1], 1) == [1, 1]
     assert ech.rank == 2
-    assert ech.add([0, 0, 1]) is None
-    assert ech.add([1, 0, 0]) == [1, -1, 1]
+    assert ech.add([0, 0, 1], 1) is None
+    assert ech.add([1, 0, 0], 1) == [1, -1, 1]
 
 
 def test_solve_unique():
@@ -91,9 +91,9 @@ def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
         solve([[1]], [1, 2])
     ech = Echelon()
-    ech.add([0, 0])
+    ech.add([0, 0], 1)
     with pytest.raises(ValueError):
-        ech.add([1, 2, 3])
+        ech.add([1, 2, 3], 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,5 +150,8 @@ def test_kernel_matches_reference_echelon(length, data):
         else:
             vec = data.draw(st.lists(mixed, min_size=length, max_size=length))
         drawn.append(vec)
-        assert ech.add(vec) == ref.add(vec)
+        row, den = cleared(vec)
+        # a common factor k of the row and its denominator changes nothing
+        k = data.draw(st.sampled_from([1, 1, 2, 6, 35, 2**61 - 1]))
+        assert ech.add([k * x for x in row], k * den) == ref.add(vec)
         assert ech.rank == ref.rank

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import buchberger, evaluate, reference_normal_form
+from helpers import buchberger, compare, evaluate, reference_normal_form
 from pointideals.poly import (
     DEGLEX,
     DEGREVLEX,
     LEX,
     GroebnerBasis,
     Polynomial,
-    compare,
     dehomogenize,
     exp_divides,
     homogenize,
@@ -133,6 +132,29 @@ def test_monomials_of_degree_counts():
 def test_zero_terms_are_dropped():
     p = Polynomial(2, [((1, 0), Fraction(1)), ((0, 1), Fraction(0))])
     assert set(p.terms) == {(1, 0)}
+
+
+def test_terms_are_collected_as_fractions():
+    # int, str and Fraction coefficients; a repeated exponent is summed in
+    # place, one that cancels is dropped and starts afresh if it repeats
+    p = Polynomial(
+        2,
+        [
+            ((1, 0), 1),
+            ((0, 1), "1/2"),
+            ((1, 0), Fraction(-1, 3)),
+            ((0, 0), 0),
+            ((0, 1), Fraction(-1, 2)),
+            ((2, 0), "-3/4"),
+            ((2, 0), 2),
+            ((0, 1), 3),
+            ((1, 0), "1/3"),
+        ],
+    )
+    assert list(p.terms.items()) == [((1, 0), 1), ((2, 0), Fraction(5, 4)), ((0, 1), 3)]
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert Polynomial(1, [((2,), "2/4"), ((2,), Fraction(-1, 2))]).is_zero()
+    assert Polynomial(1, {(3,): Fraction(6, 4)}).terms == {(3,): Fraction(3, 2)}
 
 
 def test_arithmetic_and_evaluation():

@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from helpers import (
     cone_offsets,
     evaluate,
     monomial_value,
+    prime_height_rows,
     random_affine,
     random_fraction,
     random_projective,
@@ -48,7 +50,7 @@ from pointideals import (
     staircase_of,
     unit_basis,
 )
-from pointideals import projective
+from pointideals import affine, projective
 from pointideals.linalg import Echelon
 from pointideals.poly import LEX, exp_divides, monomials_of_degree, normal_form, order_key, s_polynomial
 from pointideals.projective import (
@@ -211,9 +213,9 @@ def test_degree_kernel_skips_full_degrees(monkeypatch):
             yield d, candidates
 
     class Counted(Echelon):
-        def add(self, vec):
+        def add(self, row, den):
             adds.append(len(walked) - 1)
-            return super().add(vec)
+            return super().add(row, den)
 
     ps = random_projective(random.Random(10), 2, 10)
     hf = list(islice(hilbert_values(ps), 20))
@@ -280,6 +282,40 @@ def test_levels_match_reference_merge(monkeypatch):
     assert both_sides >= 20
 
 
+def test_kernel_is_fed_int_rows(monkeypatch):
+    # every feeder clears its own denominators: each vector reaches Echelon
+    # as an int row over a positive int den, and no Fraction enters it
+    fed = []
+
+    class Checked(Echelon):
+        def add(self, row, den):
+            fed.append((row, den))
+            return super().add(row, den)
+
+    monkeypatch.setattr(affine, "Echelon", Checked)
+    monkeypatch.setattr(projective, "Echelon", Checked)
+    rng = random.Random(1414)
+    spread = [_spread_over_charts(rng, 3, rng.randint(6, 9)) for _ in range(4)]
+    assert all(sum(1 for c in split_charts(ps) if c.points) >= 3 for ps in spread)
+    generic = [random_projective(rng, n, s) for n, s in ((2, 7), (3, 6))]
+    runs = [
+        ("buchberger_moeller", buchberger_moeller, [random_affine(rng, 2, 9), random_affine(rng, 3, 8)], (LEX, DEGLEX)),
+        ("projective_gb", lambda ps, o: projective_gb(ps), spread, (None,)),
+        ("projective_bm", projective_bm, spread + generic, (DEGLEX, DEGREVLEX)),
+        ("hilbert_values", lambda ps, o: list(islice(hilbert_values(ps), 12)), spread + generic, (None,)),
+    ]
+    for name, run, sets, orders in runs:
+        fed.clear()
+        for ps in sets:
+            for order in orders:
+                run(ps, order)
+        assert fed, name
+        assert all(type(x) is int for row, _ in fed for x in row), name
+        assert all(type(den) is int and den > 0 for _, den in fed), name
+        # affine points and chart normal forms carry denominators
+        assert (max(den for _, den in fed) > 1) == (name in ("buchberger_moeller", "projective_gb")), name
+
+
 # ---------------------------------------------------------------------------
 # normal forms by multiplication
 
@@ -303,7 +339,11 @@ def test_normal_forms_match_normal_form():
         rng.shuffle(exps)
         nf = _normal_forms(gb)
         for e in exps:
-            assert nf(e) == normal_form(Polynomial.monomial(arity, e), gb.elements, gb.order).terms
+            den, terms = nf(e)
+            assert den > 0 and gcd(den, *terms.values()) == 1
+            assert {f: Fraction(c, den) for f, c in terms.items()} == normal_form(
+                Polynomial.monomial(arity, e), gb.elements, gb.order
+            ).terms
 
 
 def test_normal_forms_deep_chain():
@@ -312,7 +352,8 @@ def test_normal_forms_deep_chain():
     gb = projective_gb(projective_points(1, [[1, 2]]))
     assert [poly_str(g) for g in gb.elements] == ["X2 - 2*X1"]
     assert sys.getrecursionlimit() < 3000
-    assert _normal_forms(gb)((0, 3000)) == {(3000, 0): 2**3000}
+    den, terms = _normal_forms(gb)((0, 3000))
+    assert {f: Fraction(c, den) for f, c in terms.items()} == {(3000, 0): 2**3000}
 
 
 def test_chart_recursion_divides_nothing(monkeypatch):
@@ -415,6 +456,22 @@ def test_projective_bm_rejects_bad_input():
 
 # ---------------------------------------------------------------------------
 # full pipeline worked examples
+
+
+def test_projective_gb_matches_bm_at_prime_heights():
+    # coordinate denominators are distinct primes up to 113, generic and
+    # spread over the charts, so that each chart's lex basis and normal forms
+    # carry denominators as large as the primes allow
+    rng = random.Random(113)
+    for n, s, spread in ((2, 14, False), (2, 13, True), (3, 9, False), (3, 9, True)):
+        rows = []
+        for free in prime_height_rows(rng, n, s):
+            k = rng.randint(0, n - 1) if spread else 0
+            rows.append([0] * k + [1] + free[: n - k])
+        if spread:
+            rows.append([0] * n + [1])
+        ps = projective_points(n, rows)
+        assert projective_gb(ps) == projective_bm(ps, DEGLEX)
 
 
 def test_three_points_in_p1():
