@@ -1,18 +1,19 @@
 """Exact incremental echelon kernel over the rationals, on integer rows.
 
 Callers clear denominators (cleared, or a scale of their own): each vector
-v reaches the kernel as an int row w over one positive int D, v = w / D.
-The row is reduced once against the stored rows by fraction-free
-cross-multiplication: its entry a at the pivot of a row with pivot entry b
-is cleared by multiplying it by b/g and subtracting the row times a/g,
-where g = gcd(a, b).  An integer transform t rides along, so that it always
-equals t_new * w + sum(t_j * w_j) over the stored rows w_j = D_j * v_j.  If
-something is left, it is stored, together with its transform, divided by
-the gcd of all their entries and signed so that the pivot (the first
-nonzero entry) is positive.  If nothing is left, v is sum(c_j * v_j) with
-c_j = -t_j * D_j / (t_new * D): the only Fractions the kernel builds.
-Nothing is re-solved from scratch, so k additions of length-L vectors cost
-O(k * rank * (L + rank)) operations on ints.
+v of length n reaches the kernel as an int row w over one positive int D,
+v = w / D.  It is reduced fraction-free as one list aug, w followed by an
+int transform (t_j at n + j, t_new at n + k, k the rank), so that always
+aug[:n] = t_new * w + sum(t_j * w_j) over the stored rows w_j = D_j * v_j.
+Its entry a at the pivot of a stored row with pivot entry b is cleared in
+place: aug is multiplied by b/g, only if that is not 1, and a/g times the
+stored row's aug is subtracted over that row's support (its nonzero
+entries) alone, g = gcd(a, b).  If aug[:n] is not zero, aug is stored with
+its support, divided by its content and signed so that its pivot (first
+nonzero entry) is positive.  Otherwise v is sum(c_j * v_j) with
+c_j = -t_j * D_j / (t_new * D), read from aug[n:]: the only Fractions the
+kernel builds.  Nothing is re-solved from scratch, so k additions of
+length-L vectors cost O(k * rank * (L + rank)) operations on ints.
 
 There is no floating point, so rank and dependency are exact predicates
 and every coefficient is an exact rational.
@@ -33,9 +34,9 @@ class Echelon:
     """Incremental row echelon form of a growing list of equal-length
     vectors.
 
-    Stored row k is (pivot, row, transform, D_k): the integer row equals
-    sum(transform[j] * D_j * v_j for j <= k) over the stored vectors v_j.
-    It is zero at the pivots before its own, and row[pivot] > 0.
+    Stored row k is (pivot, aug[pivot], support, aug, D_k): aug[:n] is
+    sum(aug[n + j] * D_j * v_j for j <= k), zero at the pivots before its
+    own and positive at its own; support lists aug's nonzero indices.
     """
 
     def __init__(self):
@@ -52,22 +53,25 @@ class Echelon:
         if it is independent of the stored vectors and return None;
         otherwise store nothing and return its coefficients over the stored
         vectors, in the order they were stored."""
+        n = len(row)
         if self._length is None:
-            self._length = len(row)
-        elif len(row) != self._length:
-            raise ValueError("vector has length %d, expected %d" % (len(row), self._length))
-        transform = [0] * len(self._rows) + [1]
-        for pivot, stored, stored_transform, _ in self._rows:
-            a = row[pivot]
+            self._length = n
+        elif n != self._length:
+            raise ValueError("vector has length %d, expected %d" % (n, self._length))
+        aug = row + [0] * len(self._rows) + [1]
+        for pivot, b, support, stored, _ in self._rows:
+            a = aug[pivot]
             if a:
-                g = gcd(a, stored[pivot])
-                a, b = a // g, stored[pivot] // g
-                row = [b * x - a * y for x, y in zip(row, stored)]
-                tail = [b * t for t in transform[len(stored_transform) :]]
-                transform = [b * t - a * u for t, u in zip(transform, stored_transform)] + tail
-        pivot = next((i for i, x in enumerate(row) if x), None)
+                g = gcd(a, b)
+                if (b := b // g) != 1:
+                    aug = [b * x for x in aug]
+                a //= g
+                for i in support:
+                    aug[i] -= a * stored[i]
+        pivot = next((i for i in range(n) if aug[i]), None)
         if pivot is None:
-            return [Fraction(-t * r[3], transform[-1] * den) for t, r in zip(transform, self._rows)]
-        g = gcd(*row, *transform) if row[pivot] > 0 else -gcd(*row, *transform)
-        self._rows.append((pivot, [x // g for x in row], [t // g for t in transform], den))
+            return [Fraction(-aug[n + j] * r[4], aug[-1] * den) for j, r in enumerate(self._rows)]
+        g = gcd(*aug) if aug[pivot] > 0 else -gcd(*aug)
+        aug = [x // g for x in aug]
+        self._rows.append((pivot, aug[pivot], [i for i, x in enumerate(aug) if x], aug, den))
         return None

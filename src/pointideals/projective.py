@@ -15,10 +15,10 @@ deglex or degrevlex basis directly (projective_bm).  The kernel walks
 degree by degree over the standard monomials of the corners found so far
 (standard_walk), by set lookups, never dividing.
 The chart recursion's result is certified independently: a basis whose
-elements vanish (an int sum per element and point, at the point's integer
-vector) and whose staircase counts match the Hilbert function (the standard
-counts of the same kernel walk on evaluation vectors, which stops once they
-reach the point count) is accepted without S-pairs; any other basis is
+elements vanish (int sums by monomial columns, at the points' integer
+vectors) and whose staircase counts match the Hilbert function (its own
+standard monomials, independent at the points until their count reaches
+the point count) is accepted without S-pairs; any other basis is
 rejected, and only then are its S-pairs reduced, so that the reasons name
 each failing check.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count, islice, product, repeat
+from itertools import chain, count, islice, product, repeat
 from math import gcd, lcm, prod
 
 from .affine import (
@@ -410,7 +410,7 @@ def hilbert_values(pointset):
     stop it persists as well).  certify zips these values with a basis's
     counts, which a finite generator would cut short."""
     if pointset.mode != PROJECTIVE:
-        raise ValueError("hilbert_function needs a projective point set")
+        raise ValueError("hilbert_values needs a projective point set")
     s = len(pointset.points)
     for _, standard, _ in _kernel_walk(pointset.dimension + 1, DEGLEX, _evaluation_rows(pointset)):
         yield len(standard)
@@ -438,36 +438,46 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
     The vanishing check sums ints: for g of top degree T, D the lcm of its
     coefficients' denominators and (q*p, q) a point's integer vector and
     scale (cleared), sum((D*c_e) * q^(T-|e|) * (q*p)^e) over g's terms
-    c_e*X^e is D * q^T * g(p), zero iff g(p) is.  Every q^(T-|e|) is 1 for a
-    homogeneous g, and the same sum serves non-homogeneous elements and
-    affine points, so the verdicts and reasons are those over Q."""
+    c_e*X^e is D * q^T * g(p), zero iff g(p) is, homogeneous g or not.  It
+    is summed by monomial columns, each monomial's values at all q*p
+    computed once: a term adds its column times D*c_e (and q^(T-|e|) if not
+    1) to g's sums at all points.  Autoreducedness is decided once per basis
+    (distinct leads, none dividing another lead or a non-leading term); only
+    a basis that fails it scans every pair, for the reasons."""
     elements = gb.elements
     mismatched = [g.arity for g in elements if g.arity != arity]
     if mismatched:
         return ["basis arity %d does not match ambient %d" % (mismatched[0], arity)]
     reasons = []
     points = [cleared(p) for p in pointset.points]
-    tables = [{} for _ in points]  # monomial values at q*p, shared by all elements
+    columns = {e: [prod(map(pow, v, e)) for v, _ in points] for e in {e for g in elements for e in g.terms}}
+    leads = [None] * len(elements)  # None for a zero element
     for idx, g in enumerate(elements):
         if g.is_zero():
             reasons.append("element %d is zero" % idx)
             continue
         if homogeneous and not g.is_homogeneous():
             reasons.append("element %d is not homogeneous: %s" % (idx, g))
-        if g.leading(order)[1] != 1:
+        leads[idx], lc = g.leading(order)
+        if lc != 1:
             reasons.append("element %d is not monic" % idx)
         top = g.total_degree()
-        terms = [(e, a, top - total_degree(e)) for e, a in zip(g.terms, cleared(g.terms.values())[0])]
-        for p, (v, q), table in zip(pointset.points, points, tables):
-            table.update((e, prod(map(pow, v, e))) for e in g.terms.keys() - table.keys())
-            if sum(a * q**k * table[e] for e, a, k in terms):
-                reasons.append("element %d does not vanish at %r" % (idx, [str(x) for x in p]))
-                break
-    leads = [None if h.is_zero() else h.leading(order)[0] for h in elements]
-    for i, g in enumerate(elements):
-        for j, lh in enumerate(leads):
-            if i != j and lh is not None and any(exp_divides(lh, e) for e in g.terms):
-                reasons.append("element %d is reducible by element %d" % (i, j))
+        sums = [0] * len(points)
+        for e, a in zip(g.terms, cleared(g.terms.values())[0]):
+            scaled = [a * q**k for _, q in points] if (k := top - total_degree(e)) else repeat(a)
+            sums = [x + c * y for x, c, y in zip(sums, scaled, columns[e])]
+        bad = next((p for p, x in zip(pointset.points, sums) if x), None)
+        if bad is not None:
+            reasons.append("element %d does not vanish at %r" % (idx, [str(x) for x in bad]))
+    distinct = {lh for lh in leads if lh is not None}
+    tails = {e for g, lh in zip(elements, leads) for e in g.terms if e != lh}
+    if len(distinct) < len(elements) - leads.count(None) or any(
+        exp_divides(b, e) for b in distinct for e in chain(tails, distinct - {b})
+    ):
+        for i, g in enumerate(elements):
+            for j, lh in enumerate(leads):
+                if i != j and lh is not None and any(exp_divides(lh, e) for e in g.terms):
+                    reasons.append("element %d is reducible by element %d" % (i, j))
     if reasons:
         return reasons
     reason = count_reason()
@@ -488,14 +498,17 @@ def certify(gb, pointset):
     ideal I of the point set.
 
     Checks: every element homogeneous, monic and vanishing at every point;
-    autoreducedness; and the standard-monomial counts of J = <in(gb)> match
-    the Hilbert function H of I degree by degree, walked by standard_walk
-    until its stop rule holds.  These prove the claim with no S-pair:
+    autoreducedness; and the standard-monomial counts c_J(d) of J = <in(gb)>
+    equal the Hilbert function H of I degree by degree, walked by
+    standard_walk until its stop rule holds.  These prove it with no S-pair:
 
-    - Every element vanishes, so <gb> lies in I and J lies in in(I).  Hence
-      J's count is at least H(d) in every degree, with equality in every
-      degree iff J = in(I), that is iff gb is a Groebner basis of I; monic
-      and autoreduced, it is then the reduced one.
+    - Every element vanishes, so <gb> lies in I and J in in(I).  Hence
+      c_J(d) >= H(d), with equality in every degree iff J = in(I), that is
+      iff gb is a Groebner basis of I; monic and autoreduced, the reduced one.
+    - Ranking only J's degree-d standard monomials at the points (a fresh
+      Echelon per degree, never a corner) proves H(d) >= c_J(d) if they are
+      independent.  Once c_J(d) = s, H is s from then on (it never decreases
+      nor exceeds s), so ranking stops and later counts are compared with s.
     - The walk stops after a degree d whose count c equals that of d-1,
       with c <= d-1 and no corner of J beyond degree d-1.  Macaulay's bound
       gives c^<d-1> = c, so by Gotzmann's persistence theorem J's count is c
@@ -505,16 +518,23 @@ def certify(gb, pointset):
     - If the counts always agree, H stays at s from some degree on, and
       the stop rule holds by degree max(s, max corner degree) + 1; so the
       comparison ends, with a verdict, after finitely many degrees.
-    - H comes from the walk and Echelon that build gb, but it keeps only
-      independent vectors, so it can only undercount: a fault there rejects.
 
-    A basis that fails the comparison is rejected; only then is every
-    S-pair reduced, so that each reason names a failing check."""
+    A dependent vector or a count other than s rejects: the exact H
+    (hilbert_values) then names the first degree that differs, and every
+    S-pair is reduced, so that each reason names a failing check."""
     m = pointset.dimension + 1
 
     def hilbert_reason():
-        walk = standard_walk(m, list(gb.leading_exponents()), DEGLEX)
-        for (d, standard), hf in zip(walk, hilbert_values(pointset)):
+        leads, rows, s = list(gb.leading_exponents()), _evaluation_rows(pointset), len(pointset.points)
+        full = False  # some degree had s independent standard monomials: then only counts are compared
+        for _, standard in standard_walk(m, leads, DEGLEX):
+            ech = Echelon()
+            if len(standard) != s if full else any(ech.add(row, den) is not None for row, den in rows(standard)):
+                break
+            full = len(standard) == s
+        else:
+            return None
+        for (d, standard), hf in zip(standard_walk(m, leads, DEGLEX), hilbert_values(pointset)):
             if len(standard) != hf:
                 return "degree %d: %d standard monomials but Hilbert function %d" % (d, len(standard), hf)
         return None

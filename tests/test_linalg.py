@@ -138,9 +138,18 @@ def test_kernel_matches_reference_echelon(length, data):
     ech, ref = Echelon(), ReferenceEchelon()
     drawn = []
     for _ in range(data.draw(st.integers(1, 12))):
-        kind = data.draw(st.sampled_from(["fresh", "zero", "multiple", "combination"]))
+        kind = data.draw(st.sampled_from(["fresh", "zero", "multiple", "combination", "unit", "sparse"]))
         if kind == "zero":
             vec = [data.draw(st.sampled_from([0, Fraction(0)])) for _ in range(length)]
+        elif kind == "unit":
+            # often stored as is, with pivot entry 1, so later rows meet b/g = 1
+            vec = [0] * length
+            vec[data.draw(st.integers(0, length - 1))] = data.draw(st.sampled_from([1, Fraction(1)]))
+        elif kind == "sparse":
+            # at least half of the entries zero: updates over a short support
+            vec = [0] * length
+            for i in data.draw(st.sets(st.integers(0, length - 1), max_size=length // 2)):
+                vec[i] = data.draw(mixed)
         elif kind == "multiple" and drawn:
             c = data.draw(mixed)
             vec = [c * x for x in data.draw(st.sampled_from(drawn))]

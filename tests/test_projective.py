@@ -585,6 +585,14 @@ def test_projective_gb_needs_projective_input():
         projective_gb(affine_points(1, [[1]]))
 
 
+def test_hilbert_entry_points_name_themselves():
+    aff = affine_points(1, [[1]])
+    with pytest.raises(ValueError, match="^hilbert_function needs a projective point set$"):
+        hilbert_function(aff, 0)
+    with pytest.raises(ValueError, match="^hilbert_values needs a projective point set$"):
+        next(hilbert_values(aff))
+
+
 # ---------------------------------------------------------------------------
 # axis census on explicit staircases
 
@@ -927,3 +935,132 @@ def test_accepted_bases_reduce_no_s_pair(monkeypatch):
     k = len(dropped.elements)
     reduced = {(dropped.elements.index(f), dropped.elements.index(g)) for f, g in pairs}
     assert {(i, j) for j in range(k) for i in range(j)} <= reduced
+
+
+# ---------------------------------------------------------------------------
+# the certificate's fast paths
+
+
+def _unreduced_candidates(gb, same_degree):
+    """Bases that are not autoreduced, built from a reduced one: an element
+    plus another element with a smaller leading monomial (of its degree if
+    same_degree), so that its tail holds that leading monomial verbatim; an
+    element's one-variable multiple appended, whose leading exponent the
+    element's divides; and an element repeated."""
+    key = order_key(gb.order)
+    els = gb.elements
+    leads = gb.leading_exponents()
+    out = []
+    for i, g in enumerate(els):
+        for j, h in enumerate(els):
+            if key(leads[j]) < key(leads[i]) and (not same_degree or sum(leads[j]) == sum(leads[i])):
+                out.append(GroebnerBasis(gb.order, els[:i] + (g + h,) + els[i + 1 :]))
+                break
+    for k, h in enumerate(els):
+        x = Polynomial.variable(gb.arity, k % gb.arity)
+        out.append(GroebnerBasis(gb.order, els + (x * h,)))
+        out.append(GroebnerBasis(gb.order, els[: k + 1] + (h,) + els[k + 1 :]))
+    return out
+
+
+def test_certificates_match_reference_on_unreduced_bases():
+    # a tail term equal to another element's leading monomial must be caught
+    # although a set of all terms would hold it only once
+    rng = random.Random(5150)
+    tails_with_a_lead = 0
+    for _ in range(8):
+        n = rng.randint(1, 3)
+        ps = random_projective(rng, n, rng.randint(2, 7))
+        gb = projective_gb(ps)
+        for cand in _unreduced_candidates(gb, same_degree=True):
+            report = certify(cand, ps)
+            assert report == reference_certify(cand, ps)
+            assert any("reducible" in r for r in report.reasons)
+            tails_with_a_lead += len(cand.elements) == len(gb.elements)
+        aff = random_affine(rng, rng.randint(2, 3), rng.randint(2, 7))
+        for order in (LEX, DEGLEX):
+            agb = buchberger_moeller(aff, order)[0]
+            for cand in _unreduced_candidates(agb, same_degree=False):
+                report = affine_certify(cand, aff)
+                assert report == reference_affine_certify(cand, aff)
+                assert any("reducible" in r for r in report.reasons)
+                tails_with_a_lead += len(cand.elements) == len(agb.elements)
+    assert tails_with_a_lead > 0
+
+
+def test_certify_checks_autoreducedness_once_per_basis(monkeypatch):
+    # leading exponents against the set of distinct non-leading terms, not
+    # every ordered pair of elements against every term
+    ps = random_projective(random.Random(2525), 3, 25)
+    gb = projective_gb(ps)
+    leads = gb.leading_exponents()
+    tails = {e for g, lead in zip(gb.elements, leads) for e in g.terms if e != lead}
+    bound = len(leads) * (len(tails) + len(leads))
+    assert bound < (len(leads) - 1) * sum(len(g.terms) for g in gb.elements)
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return exp_divides(a, b)
+
+    monkeypatch.setattr("pointideals.projective.exp_divides", counted)
+    assert certify(gb, ps).passed
+    assert 0 < len(calls) <= bound
+
+
+def _over_three_charts(rng, n, s):
+    while True:
+        ps = _spread_over_charts(rng, n, s)
+        if sum(bool(c.points) for c in split_charts(ps)) >= 3:
+            return ps
+
+
+def test_certify_accepts_without_the_hilbert_function(monkeypatch):
+    # an accepted basis is proved by ranking J's standard monomials at the
+    # points; the exact Hilbert function serves only a rejected basis
+    calls = []
+
+    def counted(pointset):
+        calls.append(pointset)
+        return hilbert_values(pointset)
+
+    monkeypatch.setattr(projective, "hilbert_values", counted)
+    rng = random.Random(1515)
+    sets = [random_projective(rng, n, rng.randint(1, 9)) for n in (1, 2, 3)]
+    sets += [_over_three_charts(rng, n, rng.randint(4, 10)) for n in (2, 3, 3)]
+    for ps in sets:
+        gb = projective_gb(ps)
+        assert certify(gb, ps).passed
+    assert calls == []
+    for ps in sets:
+        gb = projective_gb(ps)
+        for i in range(len(gb.elements)):
+            dropped = GroebnerBasis(DEGLEX, gb.elements[:i] + gb.elements[i + 1 :])
+            calls.clear()
+            report = certify(dropped, ps)
+            assert report == reference_certify(dropped, ps)
+            assert calls == [ps]
+
+
+def test_certify_ranks_until_the_count_reaches_s(monkeypatch):
+    # one Echelon.add per standard monomial of J, up to the first degree
+    # with s of them; later degrees only compare their count with s
+    adds = []
+
+    class Counted(Echelon):
+        def add(self, row, den):
+            adds.append(row)
+            return super().add(row, den)
+
+    rng = random.Random(1616)
+    for ps in (random_projective(rng, 2, 9), _over_three_charts(rng, 3, 10)):
+        gb = projective_gb(ps)
+        stair = staircase_of(gb)
+        counts = [standard_count(stair, 0)]
+        while counts[-1] != len(ps.points):
+            counts.append(standard_count(stair, len(counts)))
+        monkeypatch.setattr(projective, "Echelon", Counted)
+        adds.clear()
+        assert certify(gb, ps).passed
+        monkeypatch.undo()
+        assert len(adds) == sum(counts)
