@@ -10,7 +10,6 @@ variable (the last index) first.
 from __future__ import annotations
 
 import heapq
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +36,7 @@ def exp_sub(a, b):
 
 def exp_divides(a, b):
     """True if X^a divides X^b, i.e. a <= b componentwise."""
-    return all(map(operator.le, a, b))
+    return all(x <= y for x, y in zip(a, b))
 
 
 def exp_lcm(a, b):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count, islice, product, repeat
+from itertools import count, islice, product, repeat
 from math import gcd, lcm, prod
 
 from .affine import (
@@ -441,9 +441,9 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
     c_e*X^e is D * q^T * g(p), zero iff g(p) is, homogeneous g or not.  It
     is summed by monomial columns, each monomial's values at all q*p
     computed once: a term adds its column times D*c_e (and q^(T-|e|) if not
-    1) to g's sums at all points.  Autoreducedness is decided once per basis
-    (distinct leads, none dividing another lead or a non-leading term); only
-    a basis that fails it scans every pair, for the reasons."""
+    1) to g's sums at all points.  Autoreducedness lists, once per distinct
+    term, the elements whose leading exponent divides it; element i is
+    reducible by each other element listed for one of its terms."""
     elements = gb.elements
     mismatched = [g.arity for g in elements if g.arity != arity]
     if mismatched:
@@ -469,15 +469,10 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
         bad = next((p for p, x in zip(pointset.points, sums) if x), None)
         if bad is not None:
             reasons.append("element %d does not vanish at %r" % (idx, [str(x) for x in bad]))
-    distinct = {lh for lh in leads if lh is not None}
-    tails = {e for g, lh in zip(elements, leads) for e in g.terms if e != lh}
-    if len(distinct) < len(elements) - leads.count(None) or any(
-        exp_divides(b, e) for b in distinct for e in chain(tails, distinct - {b})
-    ):
-        for i, g in enumerate(elements):
-            for j, lh in enumerate(leads):
-                if i != j and lh is not None and any(exp_divides(lh, e) for e in g.terms):
-                    reasons.append("element %d is reducible by element %d" % (i, j))
+    divisors = {e: [j for j, lh in enumerate(leads) if lh is not None and exp_divides(lh, e)] for e in columns}
+    for i, g in enumerate(elements):
+        for j in sorted({j for e in g.terms for j in divisors[e]} - {i}):
+            reasons.append("element %d is reducible by element %d" % (i, j))
     if reasons:
         return reasons
     reason = count_reason()
@@ -519,24 +514,22 @@ def certify(gb, pointset):
       the stop rule holds by degree max(s, max corner degree) + 1; so the
       comparison ends, with a verdict, after finitely many degrees.
 
-    A dependent vector or a count other than s rejects: the exact H
-    (hilbert_values) then names the first degree that differs, and every
-    S-pair is reduced, so that each reason names a failing check."""
+    A dependent vector or a count other than s rejects at that degree,
+    the first that differs (every earlier one agreed): hilbert_values is
+    read up to it for the reason, and every S-pair is reduced, so that
+    each reason names a failing check."""
     m = pointset.dimension + 1
 
     def hilbert_reason():
         leads, rows, s = list(gb.leading_exponents()), _evaluation_rows(pointset), len(pointset.points)
         full = False  # some degree had s independent standard monomials: then only counts are compared
-        for _, standard in standard_walk(m, leads, DEGLEX):
+        for d, standard in standard_walk(m, leads, DEGLEX):
             ech = Echelon()
             if len(standard) != s if full else any(ech.add(row, den) is not None for row, den in rows(standard)):
-                break
-            full = len(standard) == s
-        else:
-            return None
-        for (d, standard), hf in zip(standard_walk(m, leads, DEGLEX), hilbert_values(pointset)):
-            if len(standard) != hf:
+                # the degrees before d agreed, so d is the first that differs
+                hf = next(islice(hilbert_values(pointset), d, None))
                 return "degree %d: %d standard monomials but Hilbert function %d" % (d, len(standard), hf)
+            full = len(standard) == s
         return None
 
     reasons = _certify_core(gb, pointset, m, DEGLEX, homogeneous=True, count_reason=hilbert_reason)

@@ -989,8 +989,8 @@ def test_certificates_match_reference_on_unreduced_bases():
 
 
 def test_certify_checks_autoreducedness_once_per_basis(monkeypatch):
-    # leading exponents against the set of distinct non-leading terms, not
-    # every ordered pair of elements against every term
+    # each distinct term against every leading exponent once, not every
+    # ordered pair of elements against every term
     ps = random_projective(random.Random(2525), 3, 25)
     gb = projective_gb(ps)
     leads = gb.leading_exponents()
@@ -1040,6 +1040,19 @@ def test_certify_accepts_without_the_hilbert_function(monkeypatch):
             report = certify(dropped, ps)
             assert report == reference_certify(dropped, ps)
             assert calls == [ps]
+
+
+def test_certify_names_the_hilbert_value_of_the_first_differing_degree():
+    # four collinear points of P^2 with the line dropped from their basis:
+    # degree 1 is the first to differ, and H(1) = 2 while H(2) = 3
+    ps = projective_points(2, [[1, 0, 1], [1, 1, 2], [1, 2, 3], [1, 3, 4]])
+    gb = projective_gb(ps)
+    line = [g for g in gb.elements if g.total_degree() == 1]
+    assert len(line) == 1
+    dropped = GroebnerBasis(DEGLEX, tuple(g for g in gb.elements if g is not line[0]))
+    report = certify(dropped, ps)
+    assert report == reference_certify(dropped, ps)
+    assert "degree 1: 3 standard monomials but Hilbert function 2" in report.reasons
 
 
 def test_certify_ranks_until_the_count_reaches_s(monkeypatch):
