@@ -10,6 +10,7 @@ standard monomial.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -148,9 +149,12 @@ def buchberger_moeller(pointset, order):
     heap = [(key(origin), origin)]
     # evaluation vectors of the heap's monomials, as int rows over one den: coordinate i
     # is the ints c_i over q_i (cleared), so X^e*X_i, pushed by a standard X^e, is X^e's
-    # row times c_i over den * q_i; it exceeds all popped, so is new iff absent
+    # row times c_i over den * q_i; it exceeds all popped, so is new iff absent.  A
+    # popped X^e is a multiple of a corner unless each X^(e - e_i) with e_i <= e, all
+    # popped before it, is standard and so pushed it: pushes[e] counts those pushes
     columns = [cleared(col) for col in zip(*pts)]
     values = {origin: ([1] * len(pts), 1)}
+    pushes = Counter()
     standard = []
     ech = Echelon()
     corners = []
@@ -158,25 +162,27 @@ def buchberger_moeller(pointset, order):
     while heap:
         _, exp = heapq.heappop(heap)
         vec, den = values.pop(exp)
-        if any(exp_divides(b, exp) for b in corners):
+        if pushes.pop(exp, 0) != n - exp.count(0):
             continue
-        coeffs = ech.add(vec, den)
-        if coeffs is not None:
-            terms = [(exp, Fraction(1))]
-            terms.extend((standard[j], -c) for j, c in enumerate(coeffs) if c)
+        dependency = ech.add(vec, den)
+        if dependency is not None:
+            coeffs, q = dependency
+            terms = [(exp, 1)]
+            terms.extend((standard[j], Fraction(-c, q)) for j, c in enumerate(coeffs) if c)
             corners.append(exp)
             basis.append(Polynomial(n, terms))
         else:
             standard.append(exp)
             for i in range(n):
                 ne = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
+                pushes[ne] += 1
                 if ne not in values:
                     c, q = columns[i]
                     values[ne] = ([v * x for v, x in zip(vec, c)], den * q)
                     heapq.heappush(heap, (key(ne), ne))
     if len(standard) != len(pts):
         raise ArithmeticError("standard monomial count must equal point count")
-    basis.sort(key=lambda g: key(g.leading(order)[0]))
+    # corners are found in increasing order, so the basis is sorted
     gb = GroebnerBasis(order, tuple(basis))
     return gb, Staircase(n, tuple(sorted(corners))), standard
 

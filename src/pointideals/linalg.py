@@ -4,22 +4,23 @@ Callers clear denominators (cleared, or a scale of their own): each vector
 v of length n reaches the kernel as an int row w over one positive int D,
 v = w / D.  It is reduced fraction-free as one list aug, w followed by an
 int transform (t_j at n + j, t_new at n + k, k the rank), so that always
-aug[:n] = t_new * w + sum(t_j * w_j) over the stored rows w_j = D_j * v_j.
+aug[:n] = t_new * w + sum(t_j * w_j) over the stored rows w_j = D_j * v_j;
+an Echelon for callers that read only independence keeps no transform.
 Its entry a at the pivot of a stored row with pivot entry b is cleared in
 place: aug is multiplied by b/g, only if that is not 1, and a/g times the
 stored row's aug is subtracted over that row's support (its nonzero
 entries) alone, g = gcd(a, b).  If aug[:n] is not zero, aug is stored with
 its support, divided by its content and signed so that its pivot (first
 nonzero entry) is positive.  Otherwise v is sum(c_j * v_j) with
-c_j = -t_j * D_j / (t_new * D), read from aug[n:]: the only Fractions the
-kernel builds.  Nothing is re-solved from scratch, so k additions of
-length-L vectors cost O(k * rank * (L + rank)) operations on ints.
+c_j = -t_j * D_j / (t_new * D), returned as ints over one positive int
+denominator in lowest terms: the kernel builds no Fraction.  Nothing is
+re-solved from scratch, so k additions of length-L vectors cost
+O(k * rank * (L + rank)) operations on ints.
 
 There is no floating point, so rank and dependency are exact predicates
 and every coefficient is an exact rational.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -39,9 +40,10 @@ class Echelon:
     own and positive at its own; support lists aug's nonzero indices.
     """
 
-    def __init__(self):
+    def __init__(self, transform=True):
         self._rows = []
         self._length = None  # fixed by the first vector added
+        self._transform = transform
 
     @property
     def rank(self):
@@ -52,13 +54,14 @@ class Echelon:
         """Store the vector row/den (row a list of ints, den a positive int)
         if it is independent of the stored vectors and return None;
         otherwise store nothing and return its coefficients over the stored
-        vectors, in the order they were stored."""
+        vectors, in the order they were stored, as (ints, positive int den)
+        in lowest terms: () if the Echelon keeps no transform."""
         n = len(row)
         if self._length is None:
             self._length = n
         elif n != self._length:
             raise ValueError("vector has length %d, expected %d" % (n, self._length))
-        aug = row + [0] * len(self._rows) + [1]
+        aug = row + [0] * len(self._rows) + [1] if self._transform else row.copy()
         for pivot, b, support, stored, _ in self._rows:
             a = aug[pivot]
             if a:
@@ -70,7 +73,12 @@ class Echelon:
                     aug[i] -= a * stored[i]
         pivot = next((i for i in range(n) if aug[i]), None)
         if pivot is None:
-            return [Fraction(-aug[n + j] * r[4], aug[-1] * den) for j, r in enumerate(self._rows)]
+            if not self._transform:
+                return ()
+            t = aug[-1] * den  # t_new * D
+            coeffs = [-aug[n + j] * r[4] for j, r in enumerate(self._rows)]
+            g = gcd(t, *coeffs) if t > 0 else -gcd(t, *coeffs)
+            return [c // g for c in coeffs], t // g
         g = gcd(*aug) if aug[pivot] > 0 else -gcd(*aug)
         aug = [x // g for x in aug]
         self._rows.append((pivot, aug[pivot], [i for i, x in enumerate(aug) if x], aug, den))

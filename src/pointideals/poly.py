@@ -10,6 +10,7 @@ variable (the last index) first.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ def exp_sub(a, b):
 
 def exp_divides(a, b):
     """True if X^a divides X^b, i.e. a <= b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def exp_lcm(a, b):
@@ -57,17 +58,20 @@ def monomials_of_degree(arity, d):
 # ---------------------------------------------------------------------------
 # term orders
 
+_ORDER_KEYS = {
+    LEX: lambda e: e[::-1],
+    DEGLEX: lambda e: (sum(e),) + e[::-1],
+    # ties broken at the smallest variable: larger exponent there loses
+    DEGREVLEX: lambda e: (sum(e),) + tuple(-x for x in e),
+}
+
+
 def order_key(order):
     """Sort key realizing the order: key(a) < key(b) iff X^a < X^b.  Keys are
     flat tuples of integers, so negating every entry reverses the order."""
-    if order == LEX:
-        return lambda e: e[::-1]
-    if order == DEGLEX:
-        return lambda e: (sum(e),) + e[::-1]
-    if order == DEGREVLEX:
-        # ties broken at the smallest variable: larger exponent there loses
-        return lambda e: (sum(e),) + tuple(-x for x in e)
-    raise ValueError("unknown term order %r" % (order,))
+    if order not in _ORDER_KEYS:
+        raise ValueError("unknown term order %r" % (order,))
+    return _ORDER_KEYS[order]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +92,7 @@ class Polynomial:
             exp = tuple(exp)
             if len(exp) != arity:
                 raise ValueError("exponent %r does not match arity %d" % (exp, arity))
-            if any(x < 0 for x in exp):
+            if min(exp, default=0) < 0:
                 raise ValueError("negative exponent in %r" % (exp,))
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)

@@ -27,15 +27,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import count, islice, product, repeat
-from math import gcd, lcm, prod
+from math import gcd, lcm
+from operator import itemgetter, mul
 
 from .affine import (
     AFFINE,
     PROJECTIVE,
+    Staircase,
     affine_points,
     buchberger_moeller,
-    staircase_of,
 )
 from .linalg import Echelon, cleared
 from .poly import (
@@ -46,7 +48,6 @@ from .poly import (
     Polynomial,
     exp_divides,
     normal_form,
-    order_key,
     s_polynomial,
     total_degree,
     unit_basis,
@@ -78,8 +79,8 @@ def standard_walk(arity, corners, order):
     `corners` degree by degree, and stop once their count persists.
 
     Yields (d, candidates) for d = 0, 1, ...: the degree-d monomials that no
-    corner divides, in increasing order (the only use of `order`), found by
-    set lookups: a one-variable multiple e of degree d-1's standard
+    corner divides, in increasing deglex or degrevlex `order` (its only use),
+    found by set lookups: a one-variable multiple e of degree d-1's standard
     monomials is a candidate iff e is not a corner and every e - e_i with
     e_i <= e is standard.  A corner b other than e that divides e divides
     some such e - e_i, and no corner divides a divisor of e if none divides
@@ -89,22 +90,46 @@ def standard_walk(arity, corners, order):
     standard count c equals that of d-1, with c <= d-1 and no corner beyond
     degree d-1: then Macaulay's bound is c^<d-1> = c, so by Gotzmann's
     persistence theorem the count is c in every higher degree."""
-    key = order_key(order)
+    # within one degree, sorted() by these keys, which run in C, orders as order_key
+    sort = {DEGLEX: {"key": itemgetter(slice(None, None, -1))}, DEGREVLEX: {"reverse": True}}[order]
     known = set(corners)
+    top = max(map(sum, corners), default=0)  # the largest corner degree
     # border[e] counts the i with e - e_i standard in degree d-1
     border = Counter({(0,) * arity: 0})
     prev = None  # standard count of the previous degree
     for d in count():
-        candidates = sorted((e for e, k in border.items() if k == arity - e.count(0) and e not in known), key=key)
+        candidates = sorted((e for e, k in border.items() if k == arity - e.count(0) and e not in known), **sort)
         seen = len(corners)
         yield d, candidates
         known.update(corners[seen:])
+        top = max([top, *map(sum, corners[seen:])])
         standard = [e for e in candidates if e not in known]
         c = len(standard)
-        if c == prev and c <= d - 1 and all(total_degree(b) <= d - 1 for b in corners):
+        if c == prev and c <= d - 1 and top <= d - 1:
             return
         prev = c
         border = Counter(e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(arity))
+
+
+def _value_columns(arity, vectors):
+    """col(e): the values of X^e at the int vectors, memoised, each column
+    one parent column (X^(e - e_i), i the first with e_i <= e) times
+    coordinate column i, as buchberger_moeller builds its vectors."""
+    coordinates = [[v[i] for v in vectors] for i in range(arity)]
+    table = {(0,) * arity: [1] * len(vectors)}
+
+    def col(e):
+        chain = []
+        while e not in table:
+            i = next(i for i, x in enumerate(e) if x)
+            chain.append((e, i))
+            e = e[:i] + (e[i] - 1,) + e[i + 1 :]
+        values = table[e]
+        for e, i in reversed(chain):
+            values = table[e] = list(map(mul, values, coordinates[i]))
+        return values
+
+    return col
 
 
 def _evaluation_rows(pointset):
@@ -112,25 +137,23 @@ def _evaluation_rows(pointset):
     points, each point p taken at its integer vector q*p (cleared).  That
     scales p's entry of every degree-d vector by q^d, which leaves every
     dependency unchanged, so each row goes to the kernel over 1."""
-    vectors = [cleared(p)[0] for p in pointset.points]
-
-    def rows(candidates):
-        return [([prod(map(pow, v, gamma)) for v in vectors], 1) for gamma in candidates]
-
-    return rows
+    col = _value_columns(pointset.dimension + 1, [cleared(p)[0] for p in pointset.points])
+    return lambda candidates: [(col(gamma), 1) for gamma in candidates]
 
 
 def _kernel_walk(arity, order, rows):
     """Walk the homogeneous ideal I whose degree-d part is the kernel of a
     linear map v_d along standard_walk, yielding (d, standard, elements):
     the degree-d standard monomials of in(I), in increasing order, and the
-    degree-d elements of I's reduced basis in `order`.
+    degree-d elements of I's reduced basis in `order`, each as its leading
+    monomial's normal form (lead, den, {standard exponent: int}) in lowest
+    terms, the format of _normal_forms' memo.
 
     rows(candidates) gives the vectors v_d(gamma) of one degree's
     candidates, each as (int row, positive int den), or None if none of
     them can lead an element of I.  The vectors go to one Echelon in
     increasing order; a candidate whose vector depends on those kept
-    before it is a corner gamma, with element gamma - sum(c_k * kept_k).
+    before it is a corner gamma, and the dependency is NF(gamma).
 
     - A candidate is independent iff it is standard.  A smaller monomial
       of degree d that is not a candidate is a multiple of a corner, so it
@@ -151,18 +174,20 @@ def _kernel_walk(arity, order, rows):
             ech = Echelon()
             standard = []
             for gamma, (vec, den) in zip(candidates, vecs):
-                coeffs = ech.add(vec, den)
-                if coeffs is None:
+                dependency = ech.add(vec, den)
+                if dependency is None:
                     standard.append(gamma)
                 else:
-                    elements.append(Polynomial(arity, [(gamma, 1)] + [(e, -c) for e, c in zip(standard, coeffs)]))
+                    coeffs, q = dependency
+                    elements.append((gamma, q, {e: c for e, c in zip(standard, coeffs) if c}))
                     corners.append(gamma)
         yield d, standard, elements
 
 
 def _degree_kernel(arity, order, s, rows):
     """Reduced basis, in `order`, of the ideal _kernel_walk walks on rows,
-    which must be the vanishing ideal of s points.
+    which must be the vanishing ideal of s points, as the walk's elements
+    in increasing order (_basis makes them a GroebnerBasis).
 
     Its callers are _level, on normal forms by multiplication
     (_normal_forms), and projective_bm, on evaluation vectors;
@@ -193,16 +218,33 @@ def _degree_kernel(arity, order, s, rows):
             "chart level stabilizes at %d standard monomials per degree, "
             "expected %d; its point sets are inconsistent" % (len(standard), s)
         )
-    return GroebnerBasis(order, tuple(elements))
+    return elements
 
 
-def _normal_forms(gb):
-    """nf(e): the normal form of X^e modulo the reduced, monic basis gb, as
-    (den, {standard exponent: int}), the ints over den in lowest terms,
+def _basis(arity, order, relations):
+    """The GroebnerBasis of the X^lead - NF(X^lead), NF(X^lead) = sum(c * X^e)
+    / den, of the relations (lead, den, {e: c}) that _kernel_walk yields."""
+    elements = [[(lead, 1)] + [(e, Fraction(-c, den)) for e, c in terms.items()] for lead, den, terms in relations]
+    return GroebnerBasis(order, tuple(Polynomial(arity, terms) for terms in elements))
+
+
+def _relations(gb):
+    """The relations of a reduced, monic basis gb, as _kernel_walk yields
+    them: NF(X^lead) is minus the tail of lead's element (cleared)."""
+    out = []
+    for lead, g in zip(gb.leading_exponents(), gb.elements):
+        row, den = cleared([-c for c in g.terms.values()])
+        out.append((lead, den, {e: c for e, c in zip(g.terms, row) if e != lead}))
+    return out
+
+
+def _normal_forms(relations):
+    """nf(e): the normal form of X^e modulo the reduced, monic basis with
+    these relations, as (den, {standard exponent: int}) in lowest terms,
     memoised for the life of nf.
 
-    A standard e is its own normal form, and a leading exponent's is minus
-    its element's tail, which is standard as gb is reduced.  Any other e
+    A standard e is its own normal form, and a leading exponent's is its
+    relation's, which is standard as the basis is reduced.  Any other e
     lies strictly above a corner b, so some e_i with e - e_i still above b
     exists, and NF(X^e) = sum(c * NF(X^(m + e_i))) over the terms c*X^m of
     NF(X^(e - e_i)), by multiplication instead of division (FGLM).  Each
@@ -212,13 +254,13 @@ def _normal_forms(gb):
     form modulo a Groebner basis is unique, so it equals the remainder of
     any division.  The memo is filled from an explicit stack, so no
     recursion limit is reached."""
-    leads = gb.leading_exponents()
-    memo = {}
-    for le, g in zip(leads, gb.elements):
-        row, den = cleared([-c for c in g.terms.values()])
-        memo[le] = (den, {e: c for e, c in zip(g.terms, row) if e != le})
+    leads = [lead for lead, _, _ in relations]
+    memo = {lead: (den, terms) for lead, den, terms in relations}
 
     def nf(exp):
+        hit = memo.get(exp)
+        if hit is not None:
+            return hit
         stack = [exp]
         while stack:
             e = stack.pop()
@@ -253,32 +295,32 @@ def _normal_forms(gb):
 # chart levels
 
 def _level(arity, s, infinite, chart):
-    """Reduced deglex basis of the ideal of the s points of one level of
-    the chart recursion, in `arity` variables with X1 first: those on the
-    hyperplane {X1 = 0}, whose ideal in the other variables has the reduced
-    deglex basis `infinite` (None if there are none), and those of the
-    affine chart {X1 = 1}, `chart` (which may be empty).
+    """Reduced deglex basis, as relations (_kernel_walk), of the ideal of the
+    s points of one level of the chart recursion, in `arity` variables with
+    X1 first: those on the hyperplane {X1 = 0}, whose ideal in the other
+    variables has the reduced deglex basis with relations `infinite` (None
+    if there are none), and those of the affine chart {X1 = 1}, `chart`.
 
     A form F vanishes at a point (0, p) iff F(0, x) does at p, and at a
     point (1, p) iff F(1, x) does.  So F lies in the ideal iff F(0, x) lies
     in the ideal of the part at infinity and F(1, x) in the chart's affine
     ideal I, that is iff both normal forms vanish: NF(F(0, x)) modulo
-    `infinite` and NF(F(1, x)) modulo the lex basis of I.  The degree-d
-    part of the ideal is the kernel of that map, walked by _degree_kernel
-    on the two sides' int normal forms over the lcm of their denominators,
-    keyed by (side, exponent).  X^gamma restricts to x^gamma[1:] on the
-    chart, and at infinity to x^gamma[1:] if gamma[0] is 0 and to zero
-    otherwise.  A side is present only if it holds points.  Each side's
-    normal forms come by multiplication from one memo (_normal_forms) for
-    the whole walk.  The ideal of a part at infinity that is all of its
-    space (a point of P^0) is zero, and _normal_forms of its empty basis is
-    the identity, so it needs no branch: there, F(0, x) is in the ideal iff
-    it is zero."""
+    `infinite` and NF(F(1, x)) modulo the lex basis of I (its _relations).
+    The degree-d part of the ideal is the kernel of that map, walked by
+    _degree_kernel on the two sides' int normal forms over the lcm of their
+    denominators, keyed by (side, exponent).  X^gamma restricts to
+    x^gamma[1:] on the chart, and at infinity to x^gamma[1:] if gamma[0] is
+    0 and to zero otherwise.  A side is present only if it holds points.
+    Each side's normal forms come by multiplication from one memo
+    (_normal_forms) for the whole walk.  The ideal of a part at infinity
+    that is all of its space (a point of P^0) is zero, and _normal_forms of
+    its empty basis is the identity, so it needs no branch: there, F(0, x)
+    is in the ideal iff it is zero."""
     sides = []
     if infinite is not None:
         sides.append((0, _normal_forms(infinite)))
     if chart.points:
-        sides.append((1, _normal_forms(buchberger_moeller(chart, LEX)[0])))
+        sides.append((1, _normal_forms(_relations(buchberger_moeller(chart, LEX)[0]))))
 
     def rows(candidates):
         vecs = []
@@ -302,7 +344,7 @@ def cone_basis(chart):
         raise ValueError("cone_basis needs an affine chart")
     if not chart.points:
         raise ValueError("cone_basis needs a nonempty chart")
-    return _level(chart.dimension + 1, len(chart.points), None, chart)
+    return _basis(chart.dimension + 1, DEGLEX, _level(chart.dimension + 1, len(chart.points), None, chart))
 
 
 def projective_bm(pointset, order):
@@ -315,7 +357,8 @@ def projective_bm(pointset, order):
         raise ValueError("projective_bm needs a projective point set")
     if order not in (DEGLEX, DEGREVLEX):
         raise ValueError("projective_bm needs a degree-compatible order, got %r" % (order,))
-    return _degree_kernel(pointset.dimension + 1, order, len(pointset.points), _evaluation_rows(pointset))
+    arity = pointset.dimension + 1
+    return _basis(arity, order, _degree_kernel(arity, order, len(pointset.points), _evaluation_rows(pointset)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +372,21 @@ def projective_gb(pointset):
     The charts are walked from the last to the first.  The level of a
     chart holds the points of that chart and of the later ones, in the
     variables from the chart's own on; the basis of the later charts'
-    points is its part at infinity (_level).  Levels with no points so far
-    are skipped."""
+    points is its part at infinity (_level), handed on as int relations.
+    Levels with no points so far are skipped."""
     if pointset.mode != PROJECTIVE:
         raise ValueError("projective_gb needs a projective point set")
     n = pointset.dimension
-    if not pointset.points:
-        return unit_basis(n + 1)
     current, s = None, 0
     for j, chart in reversed(list(enumerate(split_charts(pointset)))):
         s += len(chart.points)
         if s:
             current = _level(n + 1 - j, s, current, chart)
-    report = certify(current, pointset)
+    gb = unit_basis(n + 1) if current is None else _basis(n + 1, DEGLEX, current)
+    report = certify(gb, pointset)
     if not report.passed:
         raise ArithmeticError("internal certification failed: %s" % "; ".join(report.reasons))
-    return current
+    return gb
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +471,13 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
     """Reasons from the checks certify and affine_certify share, in order.
 
     After the arity, element, vanishing and autoreducedness checks pass,
-    count_reason() compares the staircase with the points; it returns None
-    only when that proves gb to be the reduced basis, and then no S-pair is
-    reduced.  Otherwise every S-pair is reduced once: the failing ones are
-    the reasons, and the comparison's reason stands only if every pair
-    reduces to zero.  A zero element is reported and reduces nothing.
+    count_reason(leads, col) compares the leading exponents' staircase with
+    the points (col: the vanishing check's monomial value columns); it
+    returns None only when that proves gb to be the reduced basis, and then
+    no S-pair is reduced.  Otherwise every S-pair is reduced once: the
+    failing ones are the reasons, and the comparison's reason stands only
+    if every pair reduces to zero.  A zero element is reported and reduces
+    nothing.
 
     The vanishing check sums ints: for g of top degree T, D the lcm of its
     coefficients' denominators and (q*p, q) a point's integer vector and
@@ -450,7 +494,7 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
         return ["basis arity %d does not match ambient %d" % (mismatched[0], arity)]
     reasons = []
     points = [cleared(p) for p in pointset.points]
-    columns = {e: [prod(map(pow, v, e)) for v, _ in points] for e in {e for g in elements for e in g.terms}}
+    col = _value_columns(arity, [v for v, _ in points])
     leads = [None] * len(elements)  # None for a zero element
     for idx, g in enumerate(elements):
         if g.is_zero():
@@ -465,17 +509,18 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
         sums = [0] * len(points)
         for e, a in zip(g.terms, cleared(g.terms.values())[0]):
             scaled = [a * q**k for _, q in points] if (k := top - total_degree(e)) else repeat(a)
-            sums = [x + c * y for x, c, y in zip(sums, scaled, columns[e])]
+            sums = [x + c * y for x, c, y in zip(sums, scaled, col(e))]
         bad = next((p for p, x in zip(pointset.points, sums) if x), None)
         if bad is not None:
             reasons.append("element %d does not vanish at %r" % (idx, [str(x) for x in bad]))
-    divisors = {e: [j for j, lh in enumerate(leads) if lh is not None and exp_divides(lh, e)] for e in columns}
+    terms = {e for g in elements for e in g.terms}
+    divisors = {e: [j for j, lh in enumerate(leads) if lh is not None and exp_divides(lh, e)] for e in terms}
     for i, g in enumerate(elements):
         for j in sorted({j for e in g.terms for j in divisors[e]} - {i}):
             reasons.append("element %d is reducible by element %d" % (i, j))
     if reasons:
         return reasons
-    reason = count_reason()
+    reason = count_reason(leads, col)
     if reason is None:
         return []
     # not accepted: reduce every pair, so that the reasons name each failing one
@@ -501,9 +546,10 @@ def certify(gb, pointset):
       c_J(d) >= H(d), with equality in every degree iff J = in(I), that is
       iff gb is a Groebner basis of I; monic and autoreduced, the reduced one.
     - Ranking only J's degree-d standard monomials at the points (a fresh
-      Echelon per degree, never a corner) proves H(d) >= c_J(d) if they are
-      independent.  Once c_J(d) = s, H is s from then on (it never decreases
-      nor exceeds s), so ranking stops and later counts are compared with s.
+      Echelon per degree with no transform, never a corner) proves
+      H(d) >= c_J(d) if they are independent.  Once c_J(d) = s, H is s from
+      then on (it never decreases nor exceeds s), so ranking stops and
+      later counts are compared with s.
     - The walk stops after a degree d whose count c equals that of d-1,
       with c <= d-1 and no corner of J beyond degree d-1.  Macaulay's bound
       gives c^<d-1> = c, so by Gotzmann's persistence theorem J's count is c
@@ -520,12 +566,12 @@ def certify(gb, pointset):
     each reason names a failing check."""
     m = pointset.dimension + 1
 
-    def hilbert_reason():
-        leads, rows, s = list(gb.leading_exponents()), _evaluation_rows(pointset), len(pointset.points)
+    def hilbert_reason(leads, col):
+        s = len(pointset.points)
         full = False  # some degree had s independent standard monomials: then only counts are compared
         for d, standard in standard_walk(m, leads, DEGLEX):
-            ech = Echelon()
-            if len(standard) != s if full else any(ech.add(row, den) is not None for row, den in rows(standard)):
+            ech = Echelon(transform=False)
+            if len(standard) != s if full else any(ech.add(col(e), 1) is not None for e in standard):
                 # the degrees before d agreed, so d is the first that differs
                 hf = next(islice(hilbert_values(pointset), d, None))
                 return "degree %d: %d standard monomials but Hilbert function %d" % (d, len(standard), hf)
@@ -546,11 +592,11 @@ def affine_certify(gb, pointset):
     is rejected; only then are its S-pairs reduced, as in certify."""
     s = len(pointset.points)
 
-    def colength_reason():
-        if not gb.elements:
+    def colength_reason(leads, col):
+        if not leads:
             return "zero ideal cannot be the ideal of a finite point set"
         try:
-            std = staircase_of(gb).standard_monomials()
+            std = Staircase(pointset.dimension, tuple(sorted(leads))).standard_monomials()
         except ValueError:
             return "staircase complement is infinite"
         return None if len(std) == s else "%d standard monomials but %d points" % (len(std), s)

@@ -29,7 +29,7 @@ from pointideals import (
     staircase_of,
 )
 from pointideals import affine
-from pointideals.poly import order_key
+from pointideals.poly import exp_divides, order_key
 
 # ---------------------------------------------------------------------------
 # point-set construction
@@ -154,6 +154,28 @@ def test_incremental_evaluation_vectors_match_monomial_value(monkeypatch):
             _, stair, standard = buchberger_moeller(ps, order)
             exps = sorted(standard + list(stair.corners), key=order_key(order))
             assert fed == [[monomial_value(e, p) for p in ps.points] for e in exps]
+
+
+def test_buchberger_moeller_divides_nothing(monkeypatch):
+    # a popped monomial is a candidate iff every divisor e - e_i pushed it,
+    # counted as it is pushed: no scan of the corners
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return exp_divides(a, b)
+
+    monkeypatch.setattr(affine, "exp_divides", counted)
+    rng = random.Random(2929)
+    corners = 0
+    for n, s in ((2, 9), (3, 8), (2, 15), (3, 14)):
+        ps = random_affine(rng, n, s)
+        for order in (LEX, DEGLEX):
+            gb, stair, std = buchberger_moeller(ps, order)
+            assert len(std) == s
+            corners += len(stair.corners)
+    assert corners > 0
+    assert calls == []
 
 
 def test_matches_reference_buchberger_moeller():

@@ -1,7 +1,10 @@
 """Tests for the incremental exact echelon kernel, against a dense
 Gauss-Jordan reference and the kernel on Fraction rows."""
 
+from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,28 @@ def rank(rows):
     return ech.rank
 
 
+def coefficients(dependency):
+    """Echelon.add's result with its (ints, den) dependency as Fractions."""
+    if dependency is None:
+        return None
+    ints, den = dependency
+    return [Fraction(c, den) for c in ints]
+
+
+@contextmanager
+def counting_fractions():
+    """Collect the arguments of every Fraction constructed in the block."""
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with mock.patch.object(Fraction, "__new__", staticmethod(counted)):
+        yield built
+
+
 def solve(rows, b):
     """Solve rows * x = b on a throwaway kernel: add the columns in order,
     then b last; a column dependent on earlier ones gets 0.  A dependent b
@@ -43,7 +68,7 @@ def solve(rows, b):
     the system is inconsistent."""
     ech = Echelon()
     independent = [ech.add(*cleared(col)) is None for col in zip(*rows)]
-    coeffs = ech.add(*cleared(b))
+    coeffs = coefficients(ech.add(*cleared(b)))
     if coeffs is None:
         return None
     stored = iter(coeffs)
@@ -66,12 +91,34 @@ def test_add_returns_dependency_coefficients():
     ech = Echelon()
     assert ech.add([1, 1, 0], 1) is None
     assert ech.add([0, 1, 1], 1) is None
-    assert ech.add([2, 3, 1], 1) == [2, 1]
-    assert ech.add([0, 0, 0], 1) == [0, 0]
-    assert ech.add([1, 2, 1], 1) == [1, 1]
+    assert coefficients(ech.add([2, 3, 1], 1)) == [2, 1]
+    assert coefficients(ech.add([0, 0, 0], 1)) == [0, 0]
+    assert coefficients(ech.add([1, 2, 1], 1)) == [1, 1]
     assert ech.rank == 2
     assert ech.add([0, 0, 1], 1) is None
-    assert ech.add([1, 0, 0], 1) == [1, -1, 1]
+    assert coefficients(ech.add([1, 0, 0], 1)) == [1, -1, 1]
+
+
+def test_add_returns_ints_over_one_den_in_lowest_terms():
+    ech = Echelon()
+    ech.add([2, 0], 1)
+    ech.add([0, 3], 1)
+    # (1/2, 1/3) = (1/4) * (2, 0) + (1/9) * (0, 3)
+    assert ech.add([3, 2], 6) == ([9, 4], 36)
+    assert ech.add([0, 0], 5) == ([0, 0], 1)
+    # a negative t_new is folded into the ints, not the den
+    assert ech.add([-4, 0], 1) == ([-2, 0], 1)
+
+
+def test_echelon_without_transform_keeps_only_the_row():
+    ech = Echelon(transform=False)
+    row = [1, 1, 0]
+    assert ech.add(row, 1) is None
+    assert ech.add([0, 2, 2], 1) is None
+    assert row == [1, 1, 0]
+    assert ech.add([2, 3, 1], 7) == ()
+    assert ech.rank == 2
+    assert all(len(stored) == 3 for _, _, _, stored, _ in ech._rows)
 
 
 def test_solve_unique():
@@ -135,7 +182,7 @@ def test_kernel_matches_reference(m, data):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_kernel_matches_reference_echelon(length, data):
-    ech, ref = Echelon(), ReferenceEchelon()
+    ech, ref, bare = Echelon(), ReferenceEchelon(), Echelon(transform=False)
     drawn = []
     for _ in range(data.draw(st.integers(1, 12))):
         kind = data.draw(st.sampled_from(["fresh", "zero", "multiple", "combination", "unit", "sparse"]))
@@ -162,5 +209,14 @@ def test_kernel_matches_reference_echelon(length, data):
         row, den = cleared(vec)
         # a common factor k of the row and its denominator changes nothing
         k = data.draw(st.sampled_from([1, 1, 2, 6, 35, 2**61 - 1]))
-        assert ech.add([k * x for x in row], k * den) == ref.add(vec)
+        with counting_fractions() as built:
+            dependency = ech.add([k * x for x in row], k * den)
+        assert built == []
+        assert coefficients(dependency) == ref.add(vec)
+        if dependency is not None:
+            ints, q = dependency
+            assert q > 0 and gcd(q, *ints) == 1
         assert ech.rank == ref.rank
+        # the same verdicts with no transform, which only independence reads
+        assert bare.add(row, den) == (None if dependency is None else ())
+        assert bare.rank == ech.rank

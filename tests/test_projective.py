@@ -54,10 +54,12 @@ from pointideals import affine, projective
 from pointideals.linalg import Echelon
 from pointideals.poly import LEX, exp_divides, monomials_of_degree, normal_form, order_key, s_polynomial
 from pointideals.projective import (
+    _basis,
     _degree_kernel,
     _evaluation_rows,
     _level,
     _normal_forms,
+    _relations,
     hilbert_values,
     standard_walk,
 )
@@ -249,9 +251,12 @@ def test_levels_match_reference_merge(monkeypatch):
     calls = []
 
     def recording(arity, s, infinite, chart):
-        gb = _level(arity, s, infinite, chart)
-        calls.append((arity, s, infinite, chart, gb))
-        return gb
+        relations = _level(arity, s, infinite, chart)
+        # the level's int relations, and those it was fed, as bases
+        if infinite is not None:
+            infinite = _basis(arity - 1, DEGLEX, infinite)
+        calls.append((arity, s, infinite, chart, _basis(arity, DEGLEX, relations)))
+        return relations
 
     monkeypatch.setattr("pointideals.projective._level", recording)
     rng = random.Random(707)
@@ -337,7 +342,7 @@ def test_normal_forms_match_normal_form():
         top = max(map(sum, gb.leading_exponents())) + 2
         exps = [e for d in range(top + 1) for e in monomials_of_degree(arity, d)]
         rng.shuffle(exps)
-        nf = _normal_forms(gb)
+        nf = _normal_forms(_relations(gb))
         for e in exps:
             den, terms = nf(e)
             assert den > 0 and gcd(den, *terms.values()) == 1
@@ -352,7 +357,7 @@ def test_normal_forms_deep_chain():
     gb = projective_gb(projective_points(1, [[1, 2]]))
     assert [poly_str(g) for g in gb.elements] == ["X2 - 2*X1"]
     assert sys.getrecursionlimit() < 3000
-    den, terms = _normal_forms(gb)((0, 3000))
+    den, terms = _normal_forms(_relations(gb))((0, 3000))
     assert {f: Fraction(c, den) for f, c in terms.items()} == {(3000, 0): 2**3000}
 
 
@@ -570,6 +575,25 @@ def test_empty_set_is_unit_ideal():
     assert projective_gb(projective_points(2, [])).is_unit()
 
 
+def test_empty_set_is_certified(monkeypatch):
+    # the unit ideal of no points is certified before it is returned, as
+    # every other basis is
+    calls = []
+
+    def recording(gb, ps):
+        report = certify(gb, ps)
+        calls.append((gb, ps, report))
+        return report
+
+    monkeypatch.setattr(projective, "certify", recording)
+    for n in (1, 3):
+        calls.clear()
+        ps = projective_points(n, [])
+        gb = projective_gb(ps)
+        assert gb == unit_basis(n + 1)
+        assert [(g, p, r.passed) for g, p, r in calls] == [(gb, ps, True)]
+
+
 def test_single_point_in_p0_is_zero_ideal():
     gb = projective_gb(projective_points(0, [[7]]))
     assert gb.is_zero_ideal()
@@ -717,6 +741,17 @@ def test_standard_walk_divides_nothing(monkeypatch):
         walked += sum(len(c) for _, c in islice(standard_walk(arity, corners, DEGLEX), 12))
     assert walked > 0
     assert calls == []
+
+
+def test_standard_walk_sorts_each_degree_by_order_key():
+    # the within-degree sort keys run in C; on one degree they order as order_key
+    for order in (DEGLEX, DEGREVLEX):
+        for arity in range(1, 6):
+            walked = list(islice(standard_walk(arity, [], order), 7))
+            # with no corners, a single variable's count 1 persists from degree 2 on
+            assert [d for d, _ in walked] == list(range(3 if arity == 1 else 7))
+            for d, candidates in walked:
+                assert candidates == sorted(monomials_of_degree(arity, d), key=order_key(order))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1077,3 +1112,40 @@ def test_certify_ranks_until_the_count_reaches_s(monkeypatch):
         assert certify(gb, ps).passed
         monkeypatch.undo()
         assert len(adds) == sum(counts)
+
+
+def test_certify_hilbert_check_keeps_no_transform(monkeypatch):
+    # only independence is read, so every Echelon certify ranks with stores
+    # its rows alone: no transform entry beyond each row's own length
+    made = []
+
+    class Recorded(Echelon):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    rng = random.Random(1717)
+    for ps in (random_projective(rng, 2, 9), _over_three_charts(rng, 3, 10)):
+        gb = projective_gb(ps)
+        monkeypatch.setattr(projective, "Echelon", Recorded)
+        made.clear()
+        assert certify(gb, ps).passed
+        monkeypatch.undo()
+        assert sum(e.rank for e in made) > 0
+        assert all(len(stored) == e._length for e in made for _, _, _, stored, _ in e._rows)
+
+
+def test_hilbert_values_build_no_polynomial(monkeypatch):
+    built = []
+    init = Polynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    rng = random.Random(1818)
+    sets = [random_projective(rng, 2, 9), _over_three_charts(rng, 3, 10), random_projective(rng, 1, 12)]
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    for ps in sets:
+        assert list(islice(hilbert_values(ps), 16))[-1] == len(ps.points)
+    assert built == []
