@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
+from operator import mul
 
 from .linalg import Echelon, cleared
 from .poly import (
@@ -131,6 +133,28 @@ def staircase_of(gb):
     return Staircase(gb.arity, tuple(sorted(gb.leading_exponents())))
 
 
+def _value_columns(arity, vectors):
+    """col(e): the values of X^e at the int vectors, memoised, each column
+    one parent column (X^(e - e_i), i the index of e's largest entry) times
+    coordinate column i: the one evaluator of monomials at points, for
+    buchberger_moeller, the certificates and the projective kernel walks."""
+    coordinates = [[v[i] for v in vectors] for i in range(arity)]
+    table = {(0,) * arity: [1] * len(vectors)}
+
+    def col(e):
+        chain = []
+        while e not in table:
+            i = e.index(max(e))
+            chain.append((e, i))
+            e = e[:i] + (e[i] - 1,) + e[i + 1 :]
+        values = table[e]
+        for e, i in reversed(chain):
+            values = table[e] = list(map(mul, values, coordinates[i]))
+        return values
+
+    return col
+
+
 def buchberger_moeller(pointset, order):
     """Reduced Groebner basis of the vanishing ideal of an affine point set.
 
@@ -147,13 +171,13 @@ def buchberger_moeller(pointset, order):
         return gb, Staircase(n, (origin,)), []
     key = order_key(order)
     heap = [(key(origin), origin)]
-    # evaluation vectors of the heap's monomials, as int rows over one den: coordinate i
-    # is the ints c_i over q_i (cleared), so X^e*X_i, pushed by a standard X^e, is X^e's
-    # row times c_i over den * q_i; it exceeds all popped, so is new iff absent.  A
-    # popped X^e is a multiple of a corner unless each X^(e - e_i) with e_i <= e, all
-    # popped before it, is standard and so pushed it: pushes[e] counts those pushes
-    columns = [cleared(col) for col in zip(*pts)]
-    values = {origin: ([1] * len(pts), 1)}
+    # coordinate i is the ints c_i over q_i (cleared), so X^e's vector is col(e) over
+    # the product of the q_i^e_i.  A popped X^e is a multiple of a corner unless each
+    # X^(e - e_i) with e_i <= e, all popped before it, is standard and so pushed it:
+    # pushes[e] counts those pushes, and X^e*X_i exceeds all popped, so is new iff absent
+    columns = [cleared(xs) for xs in zip(*pts)]
+    scales = [q for _, q in columns]
+    col = _value_columns(n, [[c[k] for c, _ in columns] for k in range(len(pts))])
     pushes = Counter()
     standard = []
     ech = Echelon()
@@ -161,10 +185,9 @@ def buchberger_moeller(pointset, order):
     basis = []
     while heap:
         _, exp = heapq.heappop(heap)
-        vec, den = values.pop(exp)
         if pushes.pop(exp, 0) != n - exp.count(0):
             continue
-        dependency = ech.add(vec, den)
+        dependency = ech.add(col(exp), prod(map(pow, scales, exp)))
         if dependency is not None:
             coeffs, q = dependency
             terms = [(exp, 1)]
@@ -175,11 +198,9 @@ def buchberger_moeller(pointset, order):
             standard.append(exp)
             for i in range(n):
                 ne = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
-                pushes[ne] += 1
-                if ne not in values:
-                    c, q = columns[i]
-                    values[ne] = ([v * x for v, x in zip(vec, c)], den * q)
+                if ne not in pushes:
                     heapq.heappush(heap, (key(ne), ne))
+                pushes[ne] += 1
     if len(standard) != len(pts):
         raise ArithmeticError("standard monomial count must equal point count")
     # corners are found in increasing order, so the basis is sorted

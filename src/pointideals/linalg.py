@@ -4,8 +4,7 @@ Callers clear denominators (cleared, or a scale of their own): each vector
 v of length n reaches the kernel as an int row w over one positive int D,
 v = w / D.  It is reduced fraction-free as one list aug, w followed by an
 int transform (t_j at n + j, t_new at n + k, k the rank), so that always
-aug[:n] = t_new * w + sum(t_j * w_j) over the stored rows w_j = D_j * v_j;
-an Echelon for callers that read only independence keeps no transform.
+aug[:n] = t_new * w + sum(t_j * w_j) over the stored rows w_j = D_j * v_j.
 Its entry a at the pivot of a stored row with pivot entry b is cleared in
 place: aug is multiplied by b/g, only if that is not 1, and a/g times the
 stored row's aug is subtracted over that row's support (its nonzero
@@ -40,10 +39,9 @@ class Echelon:
     own and positive at its own; support lists aug's nonzero indices.
     """
 
-    def __init__(self, transform=True):
+    def __init__(self):
         self._rows = []
         self._length = None  # fixed by the first vector added
-        self._transform = transform
 
     @property
     def rank(self):
@@ -55,13 +53,13 @@ class Echelon:
         if it is independent of the stored vectors and return None;
         otherwise store nothing and return its coefficients over the stored
         vectors, in the order they were stored, as (ints, positive int den)
-        in lowest terms: () if the Echelon keeps no transform."""
+        in lowest terms."""
         n = len(row)
         if self._length is None:
             self._length = n
         elif n != self._length:
             raise ValueError("vector has length %d, expected %d" % (n, self._length))
-        aug = row + [0] * len(self._rows) + [1] if self._transform else row.copy()
+        aug = row + [0] * len(self._rows) + [1]
         for pivot, b, support, stored, _ in self._rows:
             a = aug[pivot]
             if a:
@@ -73,8 +71,6 @@ class Echelon:
                     aug[i] -= a * stored[i]
         pivot = next((i for i in range(n) if aug[i]), None)
         if pivot is None:
-            if not self._transform:
-                return ()
             t = aug[-1] * den  # t_new * D
             coeffs = [-aug[n + j] * r[4] for j, r in enumerate(self._rows)]
             g = gcd(t, *coeffs) if t > 0 else -gcd(t, *coeffs)

@@ -16,11 +16,11 @@ degree by degree over the standard monomials of the corners found so far
 (standard_walk), by set lookups, never dividing.
 The chart recursion's result is certified independently: a basis whose
 elements vanish (int sums by monomial columns, at the points' integer
-vectors) and whose staircase counts match the Hilbert function (its own
-standard monomials, independent at the points until their count reaches
-the point count) is accepted without S-pairs; any other basis is
-rejected, and only then are its S-pairs reduced, so that the reasons name
-each failing check.
+vectors) and whose staircase counts match the Hilbert function (the same
+kernel walk on evaluation vectors, started from the basis's leading
+exponents, finds no element) is accepted without S-pairs; any other basis
+is rejected, and only then are its S-pairs reduced, so that the reasons
+name each failing check.
 """
 
 from __future__ import annotations
@@ -30,12 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, product, repeat
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .affine import (
     AFFINE,
     PROJECTIVE,
     Staircase,
+    _value_columns,
     affine_points,
     buchberger_moeller,
 )
@@ -111,27 +112,6 @@ def standard_walk(arity, corners, order):
         border = Counter(e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(arity))
 
 
-def _value_columns(arity, vectors):
-    """col(e): the values of X^e at the int vectors, memoised, each column
-    one parent column (X^(e - e_i), i the first with e_i <= e) times
-    coordinate column i, as buchberger_moeller builds its vectors."""
-    coordinates = [[v[i] for v in vectors] for i in range(arity)]
-    table = {(0,) * arity: [1] * len(vectors)}
-
-    def col(e):
-        chain = []
-        while e not in table:
-            i = next(i for i, x in enumerate(e) if x)
-            chain.append((e, i))
-            e = e[:i] + (e[i] - 1,) + e[i + 1 :]
-        values = table[e]
-        for e, i in reversed(chain):
-            values = table[e] = list(map(mul, values, coordinates[i]))
-        return values
-
-    return col
-
-
 def _evaluation_rows(pointset):
     """rows(candidates) for _kernel_walk: each candidate's values at the
     points, each point p taken at its integer vector q*p (cleared).  That
@@ -141,39 +121,43 @@ def _evaluation_rows(pointset):
     return lambda candidates: [(col(gamma), 1) for gamma in candidates]
 
 
-def _kernel_walk(arity, order, rows):
-    """Walk the homogeneous ideal I whose degree-d part is the kernel of a
-    linear map v_d along standard_walk, yielding (d, standard, elements):
-    the degree-d standard monomials of in(I), in increasing order, and the
-    degree-d elements of I's reduced basis in `order`, each as its leading
-    monomial's normal form (lead, den, {standard exponent: int}) in lowest
-    terms, the format of _normal_forms' memo.
+def _kernel_walk(arity, order, s, rows, leads):
+    """Walk the vanishing ideal I of s points along standard_walk, from the
+    corners `leads`, each the leading exponent of an element of I, yielding
+    (d, standard, elements): the degree-d standard monomials of in(I), in
+    increasing order, and the degree-d elements of I's reduced basis in
+    `order` that no lead divides, each as its leading monomial's normal
+    form (lead, den, {standard exponent: int}) in lowest terms, the format
+    of _normal_forms' memo.
 
-    rows(candidates) gives the vectors v_d(gamma) of one degree's
-    candidates, each as (int row, positive int den), or None if none of
-    them can lead an element of I.  The vectors go to one Echelon in
-    increasing order; a candidate whose vector depends on those kept
-    before it is a corner gamma, and the dependency is NF(gamma).
+    rows(candidates) gives one degree's candidates as vectors v_d(gamma),
+    each (int row, positive int den), of a linear map v_d with kernel I_d.
+    They go to one Echelon in increasing order; a candidate whose vector
+    depends on those kept before it is a corner gamma, and the dependency
+    is NF(gamma).
 
     - A candidate is independent iff it is standard.  A smaller monomial
-      of degree d that is not a candidate is a multiple of a corner, so it
-      leads an element of I, and by induction its vector lies in the span
-      of those of the smaller standard monomials.  So the kept candidates
-      span what all smaller monomials span, every tail lies on standard
-      monomials, and the elements form the unique reduced basis.
+      of degree d that is not a candidate is a multiple of a corner (a
+      lead or one found), so it leads an element of I, and by induction
+      its vector lies in the span of those of the smaller standard
+      monomials.  So the kept candidates span what all smaller monomials
+      span, and every tail lies on standard monomials: the elements are
+      reduced.
     - Every standard monomial is a candidate, so the walk's counts are the
-      standard counts of in(I), that is the Hilbert function of the
+      standard counts of in(I), that is the Hilbert function H of the
       quotient by I, and its stop rule (Gotzmann) ends the walk once they
-      persist."""
-    corners = []
+      persist.
+    - Full-degree rule: H never decreases and never exceeds s, so once a
+      degree has s standard monomials, a later degree with exactly s
+      candidates is all standard, and rows is not called for it."""
+    corners = list(leads)
+    full = False  # some degree had s standard monomials
     for d, candidates in standard_walk(arity, corners, order):
-        vecs = rows(candidates)
-        standard = candidates
-        elements = []
-        if vecs is not None:
+        standard, elements = candidates, []
+        if not full or len(candidates) != s:
             ech = Echelon()
             standard = []
-            for gamma, (vec, den) in zip(candidates, vecs):
+            for gamma, (vec, den) in zip(candidates, rows(candidates)):
                 dependency = ech.add(vec, den)
                 if dependency is None:
                     standard.append(gamma)
@@ -181,38 +165,27 @@ def _kernel_walk(arity, order, rows):
                     coeffs, q = dependency
                     elements.append((gamma, q, {e: c for e, c in zip(standard, coeffs) if c}))
                     corners.append(gamma)
+        full = full or len(standard) == s
         yield d, standard, elements
 
 
 def _degree_kernel(arity, order, s, rows):
-    """Reduced basis, in `order`, of the ideal _kernel_walk walks on rows,
-    which must be the vanishing ideal of s points, as the walk's elements
-    in increasing order (_basis makes them a GroebnerBasis).
+    """Reduced basis, in `order`, of the ideal _kernel_walk walks on rows
+    from no leads, which must be the vanishing ideal of s points, as the
+    walk's elements in increasing order (_basis makes them a
+    GroebnerBasis).
 
     Its callers are _level, on normal forms by multiplication
-    (_normal_forms), and projective_bm, on evaluation vectors;
-    hilbert_values walks the same kernel on evaluation vectors for the
-    counts alone.  Full-degree rule: once a degree has s standard
-    monomials, a later degree with exactly s candidates is all standard,
-    and rows is not called for it.  It needs the precondition: the
-    standard counts are then the Hilbert function H of s points, which
-    never decreases and never exceeds s, so H is s from there on, and the
-    candidates include the H(d) standard monomials.  The errors name the
-    chart level, as only a level fed an inconsistent s or basis at
-    infinity reaches them: the counts of s distinct points reach s, and
+    (_normal_forms), and projective_bm, on evaluation vectors.  The errors
+    name the chart level, as only a level fed an inconsistent s or basis
+    at infinity reaches them: the counts of s distinct points reach s, and
     the walk stops by degree s + 1."""
-    full = False  # some degree had s standard monomials
-
-    def kernel_rows(candidates):
-        return None if full and len(candidates) == s else rows(candidates)
-
     elements = []
-    for d, standard, new in _kernel_walk(arity, order, kernel_rows):
+    for d, standard, new in _kernel_walk(arity, order, s, rows, ()):
         if d > 4 * s + 8:
             raise RuntimeError("chart level failed to stabilize by degree %d" % d)
         # corners are found degree by degree in increasing order
         elements += new
-        full = full or len(standard) == s
     if len(standard) != s:
         raise ValueError(
             "chart level stabilizes at %d standard monomials per degree, "
@@ -449,12 +422,11 @@ def hilbert_values(pointset):
     vanishing ideal: the count _kernel_walk yields on evaluation vectors.
     H never decreases and never exceeds the point count s, so the walk stops
     once H reaches s, and the last count repeats for ever (after a Gotzmann
-    stop it persists as well).  certify zips these values with a basis's
-    counts, which a finite generator would cut short."""
+    stop it persists as well), so that any degree can be read."""
     if pointset.mode != PROJECTIVE:
         raise ValueError("hilbert_values needs a projective point set")
     s = len(pointset.points)
-    for _, standard, _ in _kernel_walk(pointset.dimension + 1, DEGLEX, _evaluation_rows(pointset)):
+    for _, standard, _ in _kernel_walk(pointset.dimension + 1, DEGLEX, s, _evaluation_rows(pointset), ()):
         yield len(standard)
         if len(standard) == s:
             break
@@ -545,11 +517,12 @@ def certify(gb, pointset):
     - Every element vanishes, so <gb> lies in I and J in in(I).  Hence
       c_J(d) >= H(d), with equality in every degree iff J = in(I), that is
       iff gb is a Groebner basis of I; monic and autoreduced, the reduced one.
-    - Ranking only J's degree-d standard monomials at the points (a fresh
-      Echelon per degree with no transform, never a corner) proves
-      H(d) >= c_J(d) if they are independent.  Once c_J(d) = s, H is s from
-      then on (it never decreases nor exceeds s), so ranking stops and
-      later counts are compared with s.
+    - The comparison is _kernel_walk on J's leading exponents and the
+      points' values (the vanishing check's column table): as the leads
+      lead vanishing elements, its counts are H, and it ranks only J's
+      standard monomials, with no element yielded iff they are
+      independent, that is iff H(d) = c_J(d).  Once c_J(d) = s, a degree
+      with s of them is not ranked (the walk's full-degree rule).
     - The walk stops after a degree d whose count c equals that of d-1,
       with c <= d-1 and no corner of J beyond degree d-1.  Macaulay's bound
       gives c^<d-1> = c, so by Gotzmann's persistence theorem J's count is c
@@ -560,22 +533,20 @@ def certify(gb, pointset):
       the stop rule holds by degree max(s, max corner degree) + 1; so the
       comparison ends, with a verdict, after finitely many degrees.
 
-    A dependent vector or a count other than s rejects at that degree,
-    the first that differs (every earlier one agreed): hilbert_values is
-    read up to it for the reason, and every S-pair is reduced, so that
-    each reason names a failing check."""
+    The first degree d at which the walk yields an element is the first
+    that differs, and the walk's count there is H(d), which the reason
+    names; every S-pair is then reduced, so that each reason names a
+    failing check."""
+    if pointset.mode != PROJECTIVE:
+        raise ValueError("certify needs a projective point set")
     m = pointset.dimension + 1
 
     def hilbert_reason(leads, col):
         s = len(pointset.points)
-        full = False  # some degree had s independent standard monomials: then only counts are compared
-        for d, standard in standard_walk(m, leads, DEGLEX):
-            ech = Echelon(transform=False)
-            if len(standard) != s if full else any(ech.add(col(e), 1) is not None for e in standard):
-                # the degrees before d agreed, so d is the first that differs
-                hf = next(islice(hilbert_values(pointset), d, None))
-                return "degree %d: %d standard monomials but Hilbert function %d" % (d, len(standard), hf)
-            full = len(standard) == s
+        for d, standard, elements in _kernel_walk(m, DEGLEX, s, lambda cs: [(col(e), 1) for e in cs], leads):
+            if elements:
+                c = len(standard)
+                return "degree %d: %d standard monomials but Hilbert function %d" % (d, c + len(elements), c)
         return None
 
     reasons = _certify_core(gb, pointset, m, DEGLEX, homogeneous=True, count_reason=hilbert_reason)
@@ -590,6 +561,8 @@ def affine_certify(gb, pointset):
     S-pair: <gb> lies in I, so J = <in(gb)> lies in in(I), which has exactly
     s standard monomials; J has s as well, so J = in(I).  A basis that fails
     is rejected; only then are its S-pairs reduced, as in certify."""
+    if pointset.mode != AFFINE:
+        raise ValueError("affine_certify needs an affine point set")
     s = len(pointset.points)
 
     def colength_reason(leads, col):

@@ -178,6 +178,46 @@ def test_buchberger_moeller_divides_nothing(monkeypatch):
     assert calls == []
 
 
+def test_buchberger_moeller_computes_only_the_columns_it_ranks(monkeypatch):
+    # each ranked monomial's column is computed once, as it is ranked, and
+    # every divisor X^(e - e_i) it may be built from was ranked before it, so
+    # the table holds no other monomial
+    computed, added = [], []
+    value_columns = affine._value_columns
+
+    def recorded_columns(arity, vectors):
+        col = value_columns(arity, vectors)
+
+        def recorded(e):
+            computed.append((e, col(e)))
+            return computed[-1][1]
+
+        return recorded
+
+    class Recorded(affine.Echelon):
+        def add(self, row, den):
+            added.append(row)
+            return super().add(row, den)
+
+    monkeypatch.setattr(affine, "_value_columns", recorded_columns)
+    monkeypatch.setattr(affine, "Echelon", Recorded)
+    rng = random.Random(3030)
+    for n, s in ((2, 9), (3, 8), (2, 15), (3, 14)):
+        ps = random_affine(rng, n, s)
+        for order in (LEX, DEGLEX):
+            computed.clear()
+            added.clear()
+            gb, stair, std = buchberger_moeller(ps, order)
+            ranked = [e for e, _ in computed]
+            assert sorted(ranked) == sorted(std + list(stair.corners))
+            assert len(set(ranked)) == len(ranked) == len(added)
+            assert all(row is values for (_, values), row in zip(computed, added))
+            for k, e in enumerate(ranked):
+                for i in range(n):
+                    if e[i]:
+                        assert e[:i] + (e[i] - 1,) + e[i + 1 :] in ranked[:k]
+
+
 def test_matches_reference_buchberger_moeller():
     # small heights, and coordinate denominators that are distinct primes up
     # to 113: X^e's row is scaled by the product of q_i^e_i, with q_i the lcm

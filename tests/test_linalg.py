@@ -110,17 +110,6 @@ def test_add_returns_ints_over_one_den_in_lowest_terms():
     assert ech.add([-4, 0], 1) == ([-2, 0], 1)
 
 
-def test_echelon_without_transform_keeps_only_the_row():
-    ech = Echelon(transform=False)
-    row = [1, 1, 0]
-    assert ech.add(row, 1) is None
-    assert ech.add([0, 2, 2], 1) is None
-    assert row == [1, 1, 0]
-    assert ech.add([2, 3, 1], 7) == ()
-    assert ech.rank == 2
-    assert all(len(stored) == 3 for _, _, _, stored, _ in ech._rows)
-
-
 def test_solve_unique():
     assert solve([[2, 0], [0, 3]], [4, 9]) == (2, 3)
 
@@ -182,7 +171,7 @@ def test_kernel_matches_reference(m, data):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_kernel_matches_reference_echelon(length, data):
-    ech, ref, bare = Echelon(), ReferenceEchelon(), Echelon(transform=False)
+    ech, ref = Echelon(), ReferenceEchelon()
     drawn = []
     for _ in range(data.draw(st.integers(1, 12))):
         kind = data.draw(st.sampled_from(["fresh", "zero", "multiple", "combination", "unit", "sparse"]))
@@ -217,6 +206,3 @@ def test_kernel_matches_reference_echelon(length, data):
             ints, q = dependency
             assert q > 0 and gcd(q, *ints) == 1
         assert ech.rank == ref.rank
-        # the same verdicts with no transform, which only independence reads
-        assert bare.add(row, den) == (None if dependency is None else ())
-        assert bare.rank == ech.rank

@@ -57,6 +57,7 @@ from pointideals.projective import (
     _basis,
     _degree_kernel,
     _evaluation_rows,
+    _kernel_walk,
     _level,
     _normal_forms,
     _relations,
@@ -615,6 +616,13 @@ def test_hilbert_entry_points_name_themselves():
         hilbert_function(aff, 0)
     with pytest.raises(ValueError, match="^hilbert_values needs a projective point set$"):
         next(hilbert_values(aff))
+    # the certificates check the mode too: read as affine, (1:5) would be the
+    # point 1, where x^2 - x vanishes
+    with pytest.raises(ValueError, match="^certify needs a projective point set$"):
+        certify(unit_basis(2), aff)
+    x2_minus_x = GroebnerBasis(LEX, (Polynomial(1, [((2,), 1), ((1,), -1)]),))
+    with pytest.raises(ValueError, match="^affine_certify needs an affine point set$"):
+        affine_certify(x2_minus_x, projective_points(1, [[1, 5], [0, 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -1051,8 +1059,9 @@ def _over_three_charts(rng, n, s):
 
 
 def test_certify_accepts_without_the_hilbert_function(monkeypatch):
-    # an accepted basis is proved by ranking J's standard monomials at the
-    # points; the exact Hilbert function serves only a rejected basis
+    # a basis is proved or rejected by the kernel walk from its leading
+    # exponents, whose counts are the Hilbert function: hilbert_values is
+    # called on neither path
     calls = []
 
     def counted(pointset):
@@ -1067,14 +1076,36 @@ def test_certify_accepts_without_the_hilbert_function(monkeypatch):
         gb = projective_gb(ps)
         assert certify(gb, ps).passed
     assert calls == []
+    hilbert_reasons = 0
     for ps in sets:
         gb = projective_gb(ps)
         for i in range(len(gb.elements)):
             dropped = GroebnerBasis(DEGLEX, gb.elements[:i] + gb.elements[i + 1 :])
-            calls.clear()
             report = certify(dropped, ps)
             assert report == reference_certify(dropped, ps)
-            assert calls == [ps]
+            hilbert_reasons += any("Hilbert function" in r for r in report.reasons)
+    assert hilbert_reasons > 0
+    assert calls == []
+
+
+def test_kernel_walk_from_leads_counts_the_hilbert_function():
+    # started from the leading exponents of vanishing elements, the walk's
+    # standard counts are H(d) in every degree it walks, whether the leads
+    # are those of the whole reduced basis or of one with an element dropped
+    rng = random.Random(1919)
+    sets = [random_projective(rng, n, rng.randint(2, 8)) for n in (1, 2, 3)]
+    sets += [_over_three_charts(rng, n, rng.randint(4, 9)) for n in (2, 3)]
+    found = 0
+    for ps in sets:
+        leads = projective_gb(ps).leading_exponents()
+        rows = _evaluation_rows(ps)
+        for drop in (None, *range(len(leads))):
+            seed = [b for i, b in enumerate(leads) if i != drop]
+            for d, standard, elements in _kernel_walk(ps.dimension + 1, DEGLEX, len(ps.points), rows, seed):
+                assert len(standard) == reference_hilbert_function(ps, d)
+                assert drop is not None or elements == []
+                found += len(elements)
+    assert found > 0
 
 
 def test_certify_names_the_hilbert_value_of_the_first_differing_degree():
@@ -1112,27 +1143,6 @@ def test_certify_ranks_until_the_count_reaches_s(monkeypatch):
         assert certify(gb, ps).passed
         monkeypatch.undo()
         assert len(adds) == sum(counts)
-
-
-def test_certify_hilbert_check_keeps_no_transform(monkeypatch):
-    # only independence is read, so every Echelon certify ranks with stores
-    # its rows alone: no transform entry beyond each row's own length
-    made = []
-
-    class Recorded(Echelon):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    rng = random.Random(1717)
-    for ps in (random_projective(rng, 2, 9), _over_three_charts(rng, 3, 10)):
-        gb = projective_gb(ps)
-        monkeypatch.setattr(projective, "Echelon", Recorded)
-        made.clear()
-        assert certify(gb, ps).passed
-        monkeypatch.undo()
-        assert sum(e.rank for e in made) > 0
-        assert all(len(stored) == e._length for e in made for _, _, _, stored, _ in e._rows)
 
 
 def test_hilbert_values_build_no_polynomial(monkeypatch):
