@@ -128,8 +128,6 @@ class Staircase:
 
 def staircase_of(gb):
     """Staircase of the initial ideal of a reduced Groebner basis."""
-    if gb.is_zero_ideal():
-        raise ValueError("zero ideal has no staircase arity; construct Staircase directly")
     return Staircase(gb.arity, tuple(sorted(gb.leading_exponents())))
 
 
@@ -155,20 +153,26 @@ def _value_columns(arity, vectors):
     return col
 
 
-def buchberger_moeller(pointset, order):
-    """Reduced Groebner basis of the vanishing ideal of an affine point set.
+def _basis(arity, order, relations):
+    """The GroebnerBasis, in `arity` variables, of the X^lead - NF(X^lead),
+    NF(X^lead) = sum(c * X^e) / den, of relations (lead, den, {e: c}) in
+    increasing order of lead, as _bm_relations and the projective kernel
+    walks yield them: the one place where a basis's Polynomials are built."""
+    elements = [[(lead, 1)] + [(e, Fraction(-c, den)) for e, c in terms.items()] for lead, den, terms in relations]
+    return GroebnerBasis(order, tuple(Polynomial(arity, terms) for terms in elements), arity)
 
-    Returns (basis, staircase, standard monomials in increasing order).
-    The number of standard monomials equals the number of points.
-    """
-    if pointset.mode != AFFINE:
-        raise ValueError("buchberger_moeller needs an affine point set")
+
+def _bm_relations(pointset, order):
+    """The reduced basis in `order` of the vanishing ideal of an affine point
+    set, as relations (lead, den, {standard exponent: int}) in increasing
+    order of lead, each NF(X^lead) in lowest terms, and the standard
+    monomials in increasing order, one per point.  The leads are the
+    staircase's corners.  An empty set yields the unit relation
+    (origin, 1, {}): the origin's vector has no entries, so it depends on
+    nothing."""
     n = pointset.dimension
     pts = pointset.points
     origin = (0,) * n
-    if not pts:
-        gb = GroebnerBasis(order, (Polynomial.constant(n, 1),))
-        return gb, Staircase(n, (origin,)), []
     key = order_key(order)
     heap = [(key(origin), origin)]
     # coordinate i is the ints c_i over q_i (cleared), so X^e's vector is col(e) over
@@ -181,8 +185,7 @@ def buchberger_moeller(pointset, order):
     pushes = Counter()
     standard = []
     ech = Echelon()
-    corners = []
-    basis = []
+    relations = []
     while heap:
         _, exp = heapq.heappop(heap)
         if pushes.pop(exp, 0) != n - exp.count(0):
@@ -190,10 +193,7 @@ def buchberger_moeller(pointset, order):
         dependency = ech.add(col(exp), prod(map(pow, scales, exp)))
         if dependency is not None:
             coeffs, q = dependency
-            terms = [(exp, 1)]
-            terms.extend((standard[j], Fraction(-c, q)) for j, c in enumerate(coeffs) if c)
-            corners.append(exp)
-            basis.append(Polynomial(n, terms))
+            relations.append((exp, q, {standard[j]: c for j, c in enumerate(coeffs) if c}))
         else:
             standard.append(exp)
             for i in range(n):
@@ -203,7 +203,19 @@ def buchberger_moeller(pointset, order):
                 pushes[ne] += 1
     if len(standard) != len(pts):
         raise ArithmeticError("standard monomial count must equal point count")
-    # corners are found in increasing order, so the basis is sorted
-    gb = GroebnerBasis(order, tuple(basis))
-    return gb, Staircase(n, tuple(sorted(corners))), standard
+    return relations, standard
 
+
+def buchberger_moeller(pointset, order):
+    """Reduced Groebner basis of the vanishing ideal of an affine point set.
+
+    Returns (basis, staircase, standard monomials in increasing order).
+    The number of standard monomials equals the number of points.
+    """
+    if pointset.mode != AFFINE:
+        raise ValueError("buchberger_moeller needs an affine point set")
+    n = pointset.dimension
+    relations, standard = _bm_relations(pointset, order)
+    # leads come in increasing order, so only the corners are sorted, as by staircase_of
+    corners = tuple(sorted(lead for lead, _, _ in relations))
+    return _basis(n, order, relations), Staircase(n, corners), standard

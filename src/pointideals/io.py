@@ -93,10 +93,9 @@ def basis_doc(gb, first_var=1, extra=None):
             for e in sorted(g.terms, key=key, reverse=True)
         ]
         elements.append(terms)
-    arity = gb.elements[0].arity if gb.elements else None
     doc = {
         "order": gb.order,
-        "variables": arity,
+        "variables": gb.arity,
         "first_variable": first_var,
         "basis": elements,
     }
@@ -106,9 +105,8 @@ def basis_doc(gb, first_var=1, extra=None):
 
 
 def parse_basis(text):
-    """Parse a basis document back into (GroebnerBasis, first_var,
-    variables); `variables` is the document's arity, which an empty basis
-    does not carry itself."""
+    """Parse a basis document back into (GroebnerBasis, first_var); the
+    basis takes its arity from the document's `variables`."""
     doc = _load_object(text, "basis")
     order = doc.get("order")
     if order not in ("lex", "deglex", "degrevlex"):
@@ -135,7 +133,7 @@ def parse_basis(text):
                 raise InputError("exponent vector %r does not match %d variables" % (exp, arity))
             terms.append((tuple(exp), parse_rational(coeff)))
         elements.append(Polynomial(arity, terms))
-    return GroebnerBasis(order, tuple(elements)), first_var, arity
+    return GroebnerBasis(order, tuple(elements), arity), first_var
 
 
 def dumps(doc):

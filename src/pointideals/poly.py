@@ -280,21 +280,24 @@ def s_polynomial(f, g, order):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis together with its term order.
+    """A Groebner basis together with its term order and number of
+    variables.
 
     elements are monic and sorted by increasing leading exponent.  An empty
-    element tuple denotes the zero ideal; a single nonzero constant denotes
-    the unit ideal.
+    element tuple denotes the zero ideal, which must be given its arity; a
+    single nonzero constant denotes the unit ideal.  Otherwise the arity
+    defaults to the first element's.
     """
 
     order: str
     elements: tuple
+    arity: int = None
 
-    @property
-    def arity(self):
-        if not self.elements:
-            raise ValueError("zero-ideal basis carries no arity")
-        return self.elements[0].arity
+    def __post_init__(self):
+        if self.arity is None:
+            if not self.elements:
+                raise ValueError("a zero-ideal basis needs its arity")
+            object.__setattr__(self, "arity", self.elements[0].arity)
 
     def is_zero_ideal(self):
         return not self.elements

@@ -8,12 +8,15 @@ vanishes on both parts iff its restriction F(0, x) lies in the ideal of the
 part at infinity and F(1, x) in the chart's affine ideal, so the level's
 ideal is, degree by degree, the kernel of the map to the two normal forms,
 modulo the basis at infinity and the chart's lex basis, taken by
-multiplication from a memo (_normal_forms), not by division.  The level
-with no points at infinity is the cone over the chart (cone_basis).  Fed
-evaluation vectors at the points, the same per-degree kernel gives the
-deglex or degrevlex basis directly (projective_bm).  The kernel walks
-degree by degree over the standard monomials of the corners found so far
-(standard_walk), by set lookups, never dividing.
+multiplication from a memo (_normal_forms), not by division.  The chart's
+affine ideal comes as Buchberger-Moeller's int relations, the format the
+levels hand on, and a part with no points is the unit ideal: the first
+level's part at infinity, and the part at infinity of the cone over a
+chart (cone_basis).  Fed evaluation vectors at the points, the same
+per-degree kernel gives the deglex or degrevlex basis directly
+(projective_bm).  The kernel walks degree by degree over the standard
+monomials of the corners found so far (standard_walk), by set lookups,
+never dividing.
 The chart recursion's result is certified independently: a basis whose
 elements vanish (int sums by monomial columns, at the points' integer
 vectors) and whose staircase counts match the Hilbert function (the same
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count, islice, product, repeat
 from math import gcd, lcm
 from operator import itemgetter
@@ -36,22 +38,20 @@ from .affine import (
     AFFINE,
     PROJECTIVE,
     Staircase,
+    _basis,
+    _bm_relations,
     _value_columns,
     affine_points,
-    buchberger_moeller,
 )
 from .linalg import Echelon, cleared
 from .poly import (
     DEGLEX,
     DEGREVLEX,
     LEX,
-    GroebnerBasis,
-    Polynomial,
     exp_divides,
     normal_form,
     s_polynomial,
     total_degree,
-    unit_basis,
 )
 
 
@@ -194,27 +194,11 @@ def _degree_kernel(arity, order, s, rows):
     return elements
 
 
-def _basis(arity, order, relations):
-    """The GroebnerBasis of the X^lead - NF(X^lead), NF(X^lead) = sum(c * X^e)
-    / den, of the relations (lead, den, {e: c}) that _kernel_walk yields."""
-    elements = [[(lead, 1)] + [(e, Fraction(-c, den)) for e, c in terms.items()] for lead, den, terms in relations]
-    return GroebnerBasis(order, tuple(Polynomial(arity, terms) for terms in elements))
-
-
-def _relations(gb):
-    """The relations of a reduced, monic basis gb, as _kernel_walk yields
-    them: NF(X^lead) is minus the tail of lead's element (cleared)."""
-    out = []
-    for lead, g in zip(gb.leading_exponents(), gb.elements):
-        row, den = cleared([-c for c in g.terms.values()])
-        out.append((lead, den, {e: c for e, c in zip(g.terms, row) if e != lead}))
-    return out
-
-
 def _normal_forms(relations):
     """nf(e): the normal form of X^e modulo the reduced, monic basis with
-    these relations, as (den, {standard exponent: int}) in lowest terms,
-    memoised for the life of nf.
+    these relations (as _kernel_walk and _bm_relations yield them), as
+    (den, {standard exponent: int}) in lowest terms, memoised for the life
+    of nf.  Modulo the unit ideal, every normal form is zero.
 
     A standard e is its own normal form, and a leading exponent's is its
     relation's, which is standard as the basis is reduced.  Any other e
@@ -271,29 +255,27 @@ def _level(arity, s, infinite, chart):
     """Reduced deglex basis, as relations (_kernel_walk), of the ideal of the
     s points of one level of the chart recursion, in `arity` variables with
     X1 first: those on the hyperplane {X1 = 0}, whose ideal in the other
-    variables has the reduced deglex basis with relations `infinite` (None
-    if there are none), and those of the affine chart {X1 = 1}, `chart`.
+    variables has the reduced deglex basis with relations `infinite`, and
+    those of the affine chart {X1 = 1}, `chart`.  No points on either part
+    is the unit ideal, whose one relation (origin, 1, {}) makes every
+    normal form zero, so an empty part needs no branch.
 
     A form F vanishes at a point (0, p) iff F(0, x) does at p, and at a
     point (1, p) iff F(1, x) does.  So F lies in the ideal iff F(0, x) lies
     in the ideal of the part at infinity and F(1, x) in the chart's affine
     ideal I, that is iff both normal forms vanish: NF(F(0, x)) modulo
-    `infinite` and NF(F(1, x)) modulo the lex basis of I (its _relations).
-    The degree-d part of the ideal is the kernel of that map, walked by
-    _degree_kernel on the two sides' int normal forms over the lcm of their
-    denominators, keyed by (side, exponent).  X^gamma restricts to
-    x^gamma[1:] on the chart, and at infinity to x^gamma[1:] if gamma[0] is
-    0 and to zero otherwise.  A side is present only if it holds points.
+    `infinite` and NF(F(1, x)) modulo the lex basis of I, whose relations
+    Buchberger-Moeller yields (_bm_relations).  The degree-d part of the
+    ideal is the kernel of that map, walked by _degree_kernel on the two
+    sides' int normal forms over the lcm of their denominators, keyed by
+    (side, exponent).  X^gamma restricts to x^gamma[1:] on the chart, and
+    at infinity to x^gamma[1:] if gamma[0] is 0 and to zero otherwise.
     Each side's normal forms come by multiplication from one memo
-    (_normal_forms) for the whole walk.  The ideal of a part at infinity
-    that is all of its space (a point of P^0) is zero, and _normal_forms of
-    its empty basis is the identity, so it needs no branch: there, F(0, x)
-    is in the ideal iff it is zero."""
-    sides = []
-    if infinite is not None:
-        sides.append((0, _normal_forms(infinite)))
-    if chart.points:
-        sides.append((1, _normal_forms(_relations(buchberger_moeller(chart, LEX)[0]))))
+    (_normal_forms) for the whole walk.  The ideal of a part that is all of
+    its space (a point of P^0 or A^0) is zero, and _normal_forms of its
+    empty basis is the identity: there, F restricted to it is in the ideal
+    iff it is zero."""
+    sides = [(0, _normal_forms(infinite)), (1, _normal_forms(_bm_relations(chart, LEX)[0]))]
 
     def rows(candidates):
         vecs = []
@@ -312,12 +294,14 @@ def _level(arity, s, infinite, chart):
 def cone_basis(chart):
     """Reduced deglex basis of the ideal of the lines through the chart's
     affine representatives, inside the ring with one extra (smallest)
-    variable X1: the level with no points at infinity (_level)."""
+    variable X1: the level (_level) whose part at infinity is the unit
+    ideal."""
     if chart.mode != AFFINE:
         raise ValueError("cone_basis needs an affine chart")
     if not chart.points:
         raise ValueError("cone_basis needs a nonempty chart")
-    return _basis(chart.dimension + 1, DEGLEX, _level(chart.dimension + 1, len(chart.points), None, chart))
+    n = chart.dimension
+    return _basis(n + 1, DEGLEX, _level(n + 1, len(chart.points), [((0,) * n, 1, {})], chart))
 
 
 def projective_bm(pointset, order):
@@ -346,16 +330,16 @@ def projective_gb(pointset):
     chart holds the points of that chart and of the later ones, in the
     variables from the chart's own on; the basis of the later charts'
     points is its part at infinity (_level), handed on as int relations.
-    Levels with no points so far are skipped."""
+    The last chart's part at infinity is P^-1, which has no points: its
+    ideal is the unit ideal, in no variables."""
     if pointset.mode != PROJECTIVE:
         raise ValueError("projective_gb needs a projective point set")
     n = pointset.dimension
-    current, s = None, 0
+    current, s = [((), 1, {})], 0
     for j, chart in reversed(list(enumerate(split_charts(pointset)))):
         s += len(chart.points)
-        if s:
-            current = _level(n + 1 - j, s, current, chart)
-    gb = unit_basis(n + 1) if current is None else _basis(n + 1, DEGLEX, current)
+        current = _level(n + 1 - j, s, current, chart)
+    gb = _basis(n + 1, DEGLEX, current)
     report = certify(gb, pointset)
     if not report.passed:
         raise ArithmeticError("internal certification failed: %s" % "; ".join(report.reasons))
@@ -442,11 +426,12 @@ class CertReport:
 def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
     """Reasons from the checks certify and affine_certify share, in order.
 
-    After the arity, element, vanishing and autoreducedness checks pass,
-    count_reason(leads, col) compares the leading exponents' staircase with
-    the points (col: the vanishing check's monomial value columns); it
-    returns None only when that proves gb to be the reduced basis, and then
-    no S-pair is reduced.  Otherwise every S-pair is reduced once: the
+    The arity check reads gb's own arity, which an empty basis carries
+    too, and each element's.  After it and the element, vanishing and
+    autoreducedness checks pass, count_reason(leads, col) compares the
+    leading exponents' staircase with the points (col: the vanishing
+    check's monomial value columns); it returns None only when that proves
+    gb to be the reduced basis, and then no S-pair is reduced.  Otherwise every S-pair is reduced once: the
     failing ones are the reasons, and the comparison's reason stands only
     if every pair reduces to zero.  A zero element is reported and reduces
     nothing.
@@ -461,7 +446,7 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
     term, the elements whose leading exponent divides it; element i is
     reducible by each other element listed for one of its terms."""
     elements = gb.elements
-    mismatched = [g.arity for g in elements if g.arity != arity]
+    mismatched = [a for a in (gb.arity, *(g.arity for g in elements)) if a != arity]
     if mismatched:
         return ["basis arity %d does not match ambient %d" % (mismatched[0], arity)]
     reasons = []
@@ -566,7 +551,7 @@ def affine_certify(gb, pointset):
     s = len(pointset.points)
 
     def colength_reason(leads, col):
-        if not leads:
+        if not leads and pointset.dimension:
             return "zero ideal cannot be the ideal of a finite point set"
         try:
             std = Staircase(pointset.dimension, tuple(sorted(leads))).standard_monomials()

@@ -12,9 +12,8 @@ the lift of the part at infinity that it was fed, the cone_basis that
 solves one per candidate and degree offset, and Buchberger's algorithm,
 the reference of the per-degree evaluation walk in any degree order.
 The term-order comparison, monomial and polynomial evaluation over the
-rationals, per-degree standard counts and a cone basis's degree offsets
-are brute-force helpers that only
-the tests use.
+rationals, per-degree standard counts, a cone basis's degree offsets and
+a basis's relations are brute-force helpers that only the tests use.
 """
 
 import heapq
@@ -37,6 +36,7 @@ from pointideals import (
     staircase_of,
     unit_basis,
 )
+from pointideals.linalg import cleared
 from pointideals.poly import (
     exp_add,
     exp_divides,
@@ -254,7 +254,23 @@ def reference_buchberger_moeller(pointset, order):
             if ne not in seen:
                 seen.add(ne)
                 heapq.heappush(heap, (key(ne), ne))
-    return GroebnerBasis(order, tuple(sorted(basis, key=lambda g: key(g.leading(order)[0]))))
+    return GroebnerBasis(order, tuple(sorted(basis, key=lambda g: key(g.leading(order)[0]))), n)
+
+
+# ---------------------------------------------------------------------------
+# a basis back in the relation format the kernel walks yield, to feed
+# _normal_forms bases that no walk returned as relations
+
+
+def relations_of(gb):
+    """The relations (lead, den, {e: c}) of a reduced, monic basis gb, the
+    format of the kernel walks and of _normal_forms: NF(X^lead) is minus
+    the tail of lead's element, as ints over one denominator (cleared)."""
+    out = []
+    for lead, g in zip(gb.leading_exponents(), gb.elements):
+        row, den = cleared([-c for c in g.terms.values()])
+        out.append((lead, den, {e: c for e, c in zip(g.terms, row) if e != lead}))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +362,7 @@ def reference_certify(gb, pointset):
     s = len(pointset.points)
     m = pointset.dimension + 1
     elements = gb.elements
-    if elements and gb.arity != m:
+    if gb.arity != m:
         reasons.append("basis arity %d does not match ambient %d" % (gb.arity, m))
         return CertReport(False, tuple(reasons))
     for idx, g in enumerate(elements):
@@ -408,7 +424,7 @@ def reference_affine_certify(gb, pointset):
     s = len(pointset.points)
     n = pointset.dimension
     elements = gb.elements
-    if elements and gb.arity != n:
+    if gb.arity != n:
         reasons.append("basis arity %d does not match ambient %d" % (gb.arity, n))
         return CertReport(False, tuple(reasons))
     order = gb.order
@@ -436,7 +452,8 @@ def reference_affine_certify(gb, pointset):
                 if not r.is_zero():
                     reasons.append("S-polynomial of elements %d and %d does not reduce to zero" % (i, j))
     if not reasons:
-        if not elements:
+        if not elements and n:
+            # in no variables, the zero ideal is the ideal of the one point
             reasons.append("zero ideal cannot be the ideal of a finite point set")
         else:
             stair = staircase_of(gb)
@@ -482,7 +499,7 @@ def reference_merge(gb0, gb1, s):
     if gb0.is_unit():
         return gb1
     if gb0.is_zero_ideal() or gb1.is_zero_ideal():
-        return GroebnerBasis(DEGLEX, ())
+        return GroebnerBasis(DEGLEX, (), gb0.arity)
     m = gb0.arity
     if gb1.arity != m:
         raise ValueError("arity mismatch: %d vs %d" % (m, gb1.arity))
@@ -561,10 +578,8 @@ def reference_lift(gb_sub):
     """Re-embed the basis of a point set inside the hyperplane {X1 = 0}.
 
     Adds X1 as a generator and shifts every exponent by a leading zero;
-    the result is again a reduced deglex basis in the enlarged ring."""
-    if gb_sub.is_zero_ideal():
-        # zero ideal of the sub-space: the hyperplane itself remains
-        raise ValueError("lift of a zero ideal needs an explicit arity")
+    the result is again a reduced deglex basis in the enlarged ring; the
+    zero ideal of the sub-space lifts to the hyperplane's ideal, (X1)."""
     arity = gb_sub.arity + 1
     if gb_sub.is_unit():
         return unit_basis(arity)
@@ -680,7 +695,7 @@ def reference_cone_basis(chart, trace=None):
             trace[alpha] = r
     key = order_key(DEGLEX)
     out.sort(key=lambda h: key(h.leading(DEGLEX)[0]))
-    return GroebnerBasis(DEGLEX, tuple(out))
+    return GroebnerBasis(DEGLEX, tuple(out), n + 1)
 
 
 # ---------------------------------------------------------------------------

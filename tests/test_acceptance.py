@@ -165,7 +165,7 @@ def test_criterion_6_certificate_soundness(capsys):
     dropped = spair_rejects = 0
     for idx, (gb, ps) in enumerate(pool + [(projective_gb(ps), ps) for ps in big]):
         for i in range(len(gb.elements)):
-            bad = GroebnerBasis(DEGLEX, gb.elements[:i] + gb.elements[i + 1 :])
+            bad = GroebnerBasis(DEGLEX, gb.elements[:i] + gb.elements[i + 1 :], gb.arity)
             result = certify(bad, ps)
             dropped += 1
             if result.passed:

@@ -81,11 +81,13 @@ def test_standard_monomials_finite_and_infinite():
         Staircase(2, ((1, 2),)).standard_monomials()
 
 
-def test_staircase_of_rejects_zero_ideal():
+def test_staircase_of_zero_ideal_has_no_corners():
+    # the zero ideal carries its arity as data, so its staircase is empty
     from pointideals.poly import GroebnerBasis
 
-    with pytest.raises(ValueError):
-        staircase_of(GroebnerBasis(DEGLEX, ()))
+    assert staircase_of(GroebnerBasis(DEGLEX, (), 2)) == Staircase(2, ())
+    with pytest.raises(ValueError, match="needs its arity"):
+        GroebnerBasis(DEGLEX, ())
 
 
 # ---------------------------------------------------------------------------

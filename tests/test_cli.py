@@ -267,3 +267,34 @@ def test_verify_zero_element_exits_1_with_reasons(write, capsys):
     assert code == EXIT_VERIFY
     assert out == "passed: false\n  element 0 is zero\n  element 1 does not vanish at ['1', '2']\n"
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "doc, arity",
+    [
+        ({"space": "projective", "dim": 0, "points": []}, 1),
+        ({"space": "projective", "dim": 0, "points": [["1"]]}, 1),
+        ({"space": "affine", "dim": 0, "points": []}, 0),
+        ({"space": "affine", "dim": 0, "points": [[]]}, 0),
+        ({"space": "projective", "dim": 2, "points": []}, 3),
+        ({"space": "affine", "dim": 2, "points": []}, 2),
+        ({"space": "affine", "dim": 1, "points": [["1"], ["2"]]}, 1),
+    ],
+)
+def test_degenerate_inputs_round_trip(write, capsys, doc, arity):
+    # no points, all of P^0 or A^0, and a line: each basis is certified, and
+    # verifies as printed; a staircase that cannot be drawn is an input error
+    points = write("p.json", doc)
+    code, out, _ = run(capsys, "gb", points)
+    assert code == EXIT_OK
+    assert json.loads(out)["variables"] == arity
+    assert run(capsys, "gb", points, "--verify")[:2] == (EXIT_OK, out)
+    code, verdict, _ = run(capsys, "verify", points, write("b.json", out))
+    assert code == EXIT_OK
+    assert json.loads(verdict)["passed"] is True
+    code, _, err = run(capsys, "staircase", points, "--render")
+    if arity in (2, 3):
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_INPUT
+        assert err == "input error: staircase rendering supports arity 2 or 3, got %d\n" % arity

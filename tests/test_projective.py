@@ -27,6 +27,7 @@ from helpers import (
     reference_hilbert_function,
     reference_lift,
     reference_merge,
+    relations_of,
     standard_count,
 )
 from pointideals import (
@@ -51,16 +52,15 @@ from pointideals import (
     unit_basis,
 )
 from pointideals import affine, projective
+from pointideals.affine import _basis
 from pointideals.linalg import Echelon
 from pointideals.poly import LEX, exp_divides, monomials_of_degree, normal_form, order_key, s_polynomial
 from pointideals.projective import (
-    _basis,
     _degree_kernel,
     _evaluation_rows,
     _kernel_walk,
     _level,
     _normal_forms,
-    _relations,
     hilbert_values,
     standard_walk,
 )
@@ -254,9 +254,7 @@ def test_levels_match_reference_merge(monkeypatch):
     def recording(arity, s, infinite, chart):
         relations = _level(arity, s, infinite, chart)
         # the level's int relations, and those it was fed, as bases
-        if infinite is not None:
-            infinite = _basis(arity - 1, DEGLEX, infinite)
-        calls.append((arity, s, infinite, chart, _basis(arity, DEGLEX, relations)))
+        calls.append((arity, s, _basis(arity - 1, DEGLEX, infinite), chart, _basis(arity, DEGLEX, relations)))
         return relations
 
     monkeypatch.setattr("pointideals.projective._level", recording)
@@ -276,15 +274,11 @@ def test_levels_match_reference_merge(monkeypatch):
     assert sum(1 for k in charts_used if k >= 3) >= 5
     both_sides = 0
     for arity, s, infinite, chart, gb in calls:
-        if infinite is None:
-            gb0 = unit_basis(arity)
-        elif infinite.is_zero_ideal():  # the ideal of all of {X1 = 0}
-            gb0 = GroebnerBasis(DEGLEX, (Polynomial.variable(arity, 0),))
-        else:
-            gb0 = reference_lift(infinite)
+        gb0 = reference_lift(infinite)
         gb1 = reference_cone_basis(chart) if chart.points else unit_basis(arity)
         assert gb == reference_merge(gb0, gb1, s)
-        both_sides += infinite is not None and bool(chart.points)
+        # no points at infinity is the unit ideal there
+        both_sides += not infinite.is_unit() and bool(chart.points)
     assert both_sides >= 20
 
 
@@ -343,7 +337,7 @@ def test_normal_forms_match_normal_form():
         top = max(map(sum, gb.leading_exponents())) + 2
         exps = [e for d in range(top + 1) for e in monomials_of_degree(arity, d)]
         rng.shuffle(exps)
-        nf = _normal_forms(_relations(gb))
+        nf = _normal_forms(relations_of(gb))
         for e in exps:
             den, terms = nf(e)
             assert den > 0 and gcd(den, *terms.values()) == 1
@@ -358,7 +352,7 @@ def test_normal_forms_deep_chain():
     gb = projective_gb(projective_points(1, [[1, 2]]))
     assert [poly_str(g) for g in gb.elements] == ["X2 - 2*X1"]
     assert sys.getrecursionlimit() < 3000
-    den, terms = _normal_forms(_relations(gb))((0, 3000))
+    den, terms = _normal_forms(relations_of(gb))((0, 3000))
     assert {f: Fraction(c, den) for f, c in terms.items()} == {(3000, 0): 2**3000}
 
 
@@ -383,6 +377,26 @@ def test_chart_recursion_divides_nothing(monkeypatch):
     assert calls == []
 
 
+def test_chart_recursion_builds_only_the_returned_polynomials(monkeypatch):
+    # every level, the chart's lex basis included, is handed on as int
+    # relations: a Polynomial is built for each returned element and no other
+    built = []
+    init = Polynomial.__init__
+
+    def counted(self, arity, terms=()):
+        built.append(arity)
+        init(self, arity, terms)
+
+    rng = random.Random(2718)
+    sets = [_spread_over_charts(rng, 3, rng.randint(6, 9)) for _ in range(3)]
+    sets += [random_projective(rng, 2, 7), projective_points(2, []), projective_points(0, [[1]])]
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    for ps in sets:
+        built.clear()
+        gb = projective_gb(ps)
+        assert built == [ps.dimension + 1] * len(gb.elements)
+
+
 # ---------------------------------------------------------------------------
 # the per-degree evaluation walk against the chart recursion and Buchberger
 
@@ -391,7 +405,7 @@ def _bm_references(ps):
     """projective_gb, and Buchberger's degrevlex basis of its elements."""
     gb = projective_gb(ps)
     if gb.is_zero_ideal():
-        return gb, GroebnerBasis(DEGREVLEX, ())
+        return gb, GroebnerBasis(DEGREVLEX, (), gb.arity)
     return gb, buchberger(gb.elements, DEGREVLEX)
 
 
@@ -838,7 +852,7 @@ def _candidates(gb, ps, other, rng):
         mutated = g + Polynomial.monomial(g.arity, exp)
         out.append((GroebnerBasis(gb.order, gb.elements[:i] + (mutated,) + gb.elements[i + 1 :]), ps))
     for i in range(len(gb.elements)):
-        out.append((GroebnerBasis(gb.order, gb.elements[:i] + gb.elements[i + 1 :]), ps))
+        out.append((GroebnerBasis(gb.order, gb.elements[:i] + gb.elements[i + 1 :], gb.arity), ps))
     return out
 
 
@@ -1080,7 +1094,7 @@ def test_certify_accepts_without_the_hilbert_function(monkeypatch):
     for ps in sets:
         gb = projective_gb(ps)
         for i in range(len(gb.elements)):
-            dropped = GroebnerBasis(DEGLEX, gb.elements[:i] + gb.elements[i + 1 :])
+            dropped = GroebnerBasis(DEGLEX, gb.elements[:i] + gb.elements[i + 1 :], gb.arity)
             report = certify(dropped, ps)
             assert report == reference_certify(dropped, ps)
             hilbert_reasons += any("Hilbert function" in r for r in report.reasons)
