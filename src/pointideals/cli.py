@@ -248,7 +248,7 @@ def main(argv=None):
     except (io.InputError, RenderError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    except (RuntimeError, ArithmeticError) as e:
+    except Exception as e:
         print("internal error: %s" % e, file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -117,7 +117,7 @@ def parse_basis(text):
     first_var = doc.get("first_variable", 1)
     if not _is_natural(first_var) or first_var == 0:
         raise InputError("first_variable must be a positive integer, got %r" % (first_var,))
-    raws = doc.get("basis", [])
+    raws = doc.get("basis")
     if not isinstance(raws, list) or not all(isinstance(raw, list) for raw in raws):
         raise InputError("basis must be a list of term lists")
     elements = []

@@ -15,7 +15,7 @@ level's part at infinity, and the part at infinity of the cone over a
 chart (cone_basis).  Fed evaluation vectors at the points, the same
 per-degree kernel gives the deglex or degrevlex basis directly
 (projective_bm).  The kernel walks degree by degree over the standard
-monomials of the corners found so far (standard_walk), by set lookups,
+monomials of the corners found so far (_kernel_walk), by set lookups,
 never dividing.
 The chart recursion's result is certified independently: a basis whose
 elements vanish (int sums by monomial columns, at the points' integer
@@ -75,43 +75,6 @@ def split_charts(pointset):
 # ---------------------------------------------------------------------------
 # the per-degree kernel
 
-def standard_walk(arity, corners, order):
-    """Walk the standard monomials of the monomial ideal generated by
-    `corners` degree by degree, and stop once their count persists.
-
-    Yields (d, candidates) for d = 0, 1, ...: the degree-d monomials that no
-    corner divides, in increasing deglex or degrevlex `order` (its only use),
-    found by set lookups: a one-variable multiple e of degree d-1's standard
-    monomials is a candidate iff e is not a corner and every e - e_i with
-    e_i <= e is standard.  A corner b other than e that divides e divides
-    some such e - e_i, and no corner divides a divisor of e if none divides
-    e; so the corners need not be minimal.  The caller may append corners
-    of degree d or more to `corners` before resuming; those among the
-    candidates are then not standard.  The walk ends after a degree d whose
-    standard count c equals that of d-1, with c <= d-1 and no corner beyond
-    degree d-1: then Macaulay's bound is c^<d-1> = c, so by Gotzmann's
-    persistence theorem the count is c in every higher degree."""
-    # within one degree, sorted() by these keys, which run in C, orders as order_key
-    sort = {DEGLEX: {"key": itemgetter(slice(None, None, -1))}, DEGREVLEX: {"reverse": True}}[order]
-    known = set(corners)
-    top = max(map(sum, corners), default=0)  # the largest corner degree
-    # border[e] counts the i with e - e_i standard in degree d-1
-    border = Counter({(0,) * arity: 0})
-    prev = None  # standard count of the previous degree
-    for d in count():
-        candidates = sorted((e for e, k in border.items() if k == arity - e.count(0) and e not in known), **sort)
-        seen = len(corners)
-        yield d, candidates
-        known.update(corners[seen:])
-        top = max([top, *map(sum, corners[seen:])])
-        standard = [e for e in candidates if e not in known]
-        c = len(standard)
-        if c == prev and c <= d - 1 and top <= d - 1:
-            return
-        prev = c
-        border = Counter(e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(arity))
-
-
 def _evaluation_rows(pointset):
     """rows(candidates) for _kernel_walk: each candidate's values at the
     points, each point p taken at its integer vector q*p (cleared).  That
@@ -122,13 +85,21 @@ def _evaluation_rows(pointset):
 
 
 def _kernel_walk(arity, order, s, rows, leads):
-    """Walk the vanishing ideal I of s points along standard_walk, from the
+    """Walk the vanishing ideal I of s points degree by degree, from the
     corners `leads`, each the leading exponent of an element of I, yielding
     (d, standard, elements): the degree-d standard monomials of in(I), in
     increasing order, and the degree-d elements of I's reduced basis in
     `order` that no lead divides, each as its leading monomial's normal
     form (lead, den, {standard exponent: int}) in lowest terms, the format
     of _normal_forms' memo.
+
+    A degree's candidates, the monomials no corner divides, come by set
+    lookups, in increasing deglex or degrevlex `order` (its only use): a
+    one-variable multiple e of degree d-1's standard monomials is one iff e
+    is not a lead and every e - e_i with e_i <= e is standard.  A corner b
+    other than e that divides e divides some such e - e_i, and no corner
+    divides a divisor of e if none divides e; so the leads need not be
+    minimal, and a corner found needs no record.
 
     rows(candidates) gives one degree's candidates as vectors v_d(gamma),
     each (int row, positive int den), of a linear map v_d with kernel I_d.
@@ -145,14 +116,25 @@ def _kernel_walk(arity, order, s, rows, leads):
       reduced.
     - Every standard monomial is a candidate, so the walk's counts are the
       standard counts of in(I), that is the Hilbert function H of the
-      quotient by I, and its stop rule (Gotzmann) ends the walk once they
-      persist.
+      quotient by I.
     - Full-degree rule: H never decreases and never exceeds s, so once a
       degree has s standard monomials, a later degree with exactly s
-      candidates is all standard, and rows is not called for it."""
-    corners = list(leads)
+      candidates is all standard, and rows is not called for it.
+    - Stop rule: the walk ends after a degree d whose count c equals that
+      of d-1, with c <= d-1 and no lead beyond degree d-1.  Macaulay's
+      bound c^<d-1> = c caps degree d's candidates at c, so no element was
+      found at d either: no corner lies beyond d-1, and by Gotzmann's
+      persistence theorem the count is c in every higher degree."""
+    # within one degree, sorted() by these keys, which run in C, orders as order_key
+    sort = {DEGLEX: {"key": itemgetter(slice(None, None, -1))}, DEGREVLEX: {"reverse": True}}[order]
+    leads = set(leads)
+    top = max(map(sum, leads), default=0)  # the largest lead degree
+    # border[e] counts the i with e - e_i standard in degree d-1
+    border = Counter({(0,) * arity: 0})
+    prev = None  # standard count of the previous degree
     full = False  # some degree had s standard monomials
-    for d, candidates in standard_walk(arity, corners, order):
+    for d in count():
+        candidates = sorted((e for e, k in border.items() if k == arity - e.count(0) and e not in leads), **sort)
         standard, elements = candidates, []
         if not full or len(candidates) != s:
             ech = Echelon()
@@ -164,9 +146,12 @@ def _kernel_walk(arity, order, s, rows, leads):
                 else:
                     coeffs, q = dependency
                     elements.append((gamma, q, {e: c for e, c in zip(standard, coeffs) if c}))
-                    corners.append(gamma)
-        full = full or len(standard) == s
         yield d, standard, elements
+        c = len(standard)
+        if c == prev and c <= d - 1 and top <= d - 1:
+            return
+        prev, full = c, full or c == s
+        border = Counter(e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(arity))
 
 
 def _degree_kernel(arity, order, s, rows):
@@ -497,7 +482,7 @@ def certify(gb, pointset):
     Checks: every element homogeneous, monic and vanishing at every point;
     autoreducedness; and the standard-monomial counts c_J(d) of J = <in(gb)>
     equal the Hilbert function H of I degree by degree, walked by
-    standard_walk until its stop rule holds.  These prove it with no S-pair:
+    _kernel_walk until its stop rule holds.  These prove it with no S-pair:
 
     - Every element vanishes, so <gb> lies in I and J in in(I).  Hence
       c_J(d) >= H(d), with equality in every degree iff J = in(I), that is

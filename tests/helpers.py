@@ -12,8 +12,9 @@ the lift of the part at infinity that it was fed, the cone_basis that
 solves one per candidate and degree offset, and Buchberger's algorithm,
 the reference of the per-degree evaluation walk in any degree order.
 The term-order comparison, monomial and polynomial evaluation over the
-rationals, per-degree standard counts, a cone basis's degree offsets and
-a basis's relations are brute-force helpers that only the tests use.
+rationals, per-degree standard counts, kernel-walk rows of fixed
+verdicts, a cone basis's degree offsets and a basis's relations are
+brute-force helpers that only the tests use.
 """
 
 import heapq
@@ -313,6 +314,19 @@ def evaluate(p, point):
 def standard_count(stair, degree):
     """Number of degree-d standard monomials of a Staircase."""
     return sum(1 for e in monomials_of_degree(stair.arity, degree) if not stair.contains(e))
+
+
+def unit_rows(found=()):
+    """rows(candidates) for _kernel_walk that fix each candidate's verdict:
+    the zero vector for one in `found`, which the walk then finds as a
+    corner, and its own unit vector for any other, which is independent
+    and so standard.  Walked with an s that no degree's count reaches, the
+    walk then follows the staircase of its leads and the corners found."""
+    def rows(candidates):
+        n = len(candidates)
+        return [([int(i == j and e not in found) for j in range(n)], 1) for i, e in enumerate(candidates)]
+
+    return rows
 
 
 # ---------------------------------------------------------------------------

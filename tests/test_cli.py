@@ -233,6 +233,11 @@ def test_verify_dropped_element_reports_reference_reasons(write, capsys, tmp_pat
     [
         RuntimeError("chart level failed to stabilize by degree 13"),
         ArithmeticError("internal certification failed: degree 2: 4 standard monomials but Hilbert function 3"),
+        ValueError(
+            "chart level stabilizes at 2 standard monomials per degree, "
+            "expected 3; its point sets are inconsistent"
+        ),
+        TypeError("unsupported operand type(s) for +: 'int' and 'NoneType'"),
     ],
 )
 def test_internal_failure_exits_3(write, capsys, monkeypatch, error):
@@ -245,6 +250,22 @@ def test_internal_failure_exits_3(write, capsys, monkeypatch, error):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == "internal error: %s\n" % error
+
+
+@pytest.mark.parametrize(
+    "points, basis",
+    [
+        ({"space": "projective", "dim": 0, "points": [["1"]]}, {"order": "deglex", "variables": 1}),
+        ({"space": "affine", "dim": 0, "points": [[]]}, {"order": "lex", "variables": 0}),
+        (P1_THREE, {"order": "deglex", "variables": 2}),
+    ],
+)
+def test_verify_basis_without_a_basis_key_exits_2(write, capsys, points, basis):
+    # a document with no basis is malformed, not the zero ideal
+    code, out, err = run(capsys, "verify", write("p.json", points), write("b.json", basis))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "input error: basis must be a list of term lists\n"
 
 
 @pytest.mark.parametrize(

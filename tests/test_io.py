@@ -105,6 +105,7 @@ def test_basis_terms_are_sorted_decreasing():
         '{"order":"deglex","variables":2,"first_variable":"x","basis":[]}',
         '{"order":"deglex","variables":2,"basis":5}',
         '{"order":"deglex","variables":2,"basis":[7]}',
+        '{"order":"deglex","variables":1}',
     ],
 )
 def test_parse_basis_rejects_malformed(text):

@@ -29,6 +29,7 @@ from helpers import (
     reference_merge,
     relations_of,
     standard_count,
+    unit_rows,
 )
 from pointideals import (
     DEGLEX,
@@ -62,11 +63,11 @@ from pointideals.projective import (
     _level,
     _normal_forms,
     hilbert_values,
-    standard_walk,
 )
 
 P1_THREE = [[1, 0], [1, 1], [0, 1]]
 P2_COORD = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+NEVER_FULL = 10**9  # an s that no degree's standard count reaches
 
 
 def _stair(gb, arity):
@@ -210,20 +211,20 @@ def test_degree_kernel_skips_full_degrees(monkeypatch):
     # is added, while the degrees between still add theirs
     walked, adds = [], []
 
-    def walk(arity, corners, order):
-        for d, candidates in standard_walk(arity, corners, order):
-            walked.append(len(candidates))
-            yield d, candidates
+    def walk(*args):
+        for d, standard, elements in _kernel_walk(*args):
+            walked.append(len(standard) + len(elements))  # degree d's candidates
+            yield d, standard, elements
 
     class Counted(Echelon):
         def add(self, row, den):
-            adds.append(len(walked) - 1)
+            adds.append(len(walked))  # the degree being ranked, not yet yielded
             return super().add(row, den)
 
     ps = random_projective(random.Random(10), 2, 10)
     hf = list(islice(hilbert_values(ps), 20))
     first_full = hf.index(10)
-    monkeypatch.setattr(projective, "standard_walk", walk)
+    monkeypatch.setattr(projective, "_kernel_walk", walk)
     monkeypatch.setattr(projective, "Echelon", Counted)
     for order in (DEGLEX, DEGREVLEX):
         walked.clear()
@@ -700,44 +701,51 @@ def test_certify_reports_a_zero_element():
         assert check(zero, ps).reasons == ("element 0 is zero", "element 1 does not vanish at ['1', '2']")
 
 
-def test_standard_walk_does_not_stop_at_a_false_plateau():
+def test_kernel_walk_does_not_stop_at_a_false_plateau():
     # J = (X1*X3^2, X1^3, X1*X2*X3) has standard counts 1, 3, 6, 7, 7, 8, 9:
     # equal at degrees 3 and 4, beyond every corner, but 7 > 3, so no stop
-    corners = [(1, 0, 2), (3, 0, 0), (1, 1, 1)]
-    counts = [len(std) for _, std in islice(standard_walk(3, corners, DEGLEX), 7)]
-    assert counts == [1, 3, 6, 7, 7, 8, 9]
+    leads = [(1, 0, 2), (3, 0, 0), (1, 1, 1)]
+    walked = islice(_kernel_walk(3, DEGLEX, NEVER_FULL, unit_rows(), leads), 7)
+    assert [len(std) for _, std, _ in walked] == [1, 3, 6, 7, 7, 8, 9]
 
 
-def test_standard_walk_takes_corners_found_on_the_way():
-    # a kernel walk appends X2^2 when it meets it at degree 2: the counts are then
-    # 1, 2, 2, 2, and the walk ends after degree 3, not with X2^2 counted
-    corners = []
-    degrees = []
-    for d, candidates in standard_walk(2, corners, DEGLEX):
-        degrees.append(d)
-        if d == 2:
-            assert (0, 2) in candidates
-            corners.append((0, 2))
-    assert degrees == [0, 1, 2, 3]
+def test_kernel_walk_ends_after_a_corner_found_on_the_way():
+    # X2^2 is found as a corner at degree 2: the counts are then 1, 2, 2, 2,
+    # and the walk ends after degree 3, not with X2^2 counted
+    walked = islice(_kernel_walk(2, DEGLEX, NEVER_FULL, unit_rows({(0, 2)}), ()), 10)
+    assert [(d, len(std), [e for e, _, _ in new]) for d, std, new in walked] == [
+        (0, 1, []),
+        (1, 2, []),
+        (2, 2, [(0, 2)]),
+        (3, 2, []),
+    ]
+
+
+def _found_at_random(rng, arity, degrees):
+    """A random fifth of the monomials of the given degrees, to be found as
+    corners (unit_rows)."""
+    return {e for d in degrees for e in monomials_of_degree(arity, d) if rng.random() < 0.2}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
-def test_standard_walk_takes_corners_appended_at_any_degree(seed):
-    # as in a kernel walk: at each degree some candidates become corners, and now
-    # and then a monomial of that degree or higher is appended as well; the
-    # candidates are always the monomials no corner known so far divides
+def test_kernel_walk_takes_leads_and_corners_found(seed):
+    # random leads, and a random fifth of each degree's candidates found as
+    # corners: the candidates are always the monomials that no lead and no
+    # corner found before divides, in order_key order
     rng = random.Random(seed)
     arity = rng.randint(1, 4)
-    corners = [tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(rng.randint(0, 3))]
+    leads = [tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(rng.randint(0, 3))]
+    rows = unit_rows(_found_at_random(rng, arity, range(10)))
     key = order_key(DEGLEX)
+    corners = list(leads)
     degrees = 0
-    for d, candidates in islice(standard_walk(arity, corners, DEGLEX), 10):
-        free = [e for e in monomials_of_degree(arity, d) if not any(exp_divides(b, e) for b in corners)]
-        assert candidates == sorted(free, key=key)
-        corners.extend(e for e in candidates if rng.random() < 0.2)
-        if rng.random() < 0.3:
-            corners.append(rng.choice(list(monomials_of_degree(arity, d + rng.randint(0, 2)))))
+    for d, standard, elements in islice(_kernel_walk(arity, DEGLEX, NEVER_FULL, rows, leads), 10):
+        free = sorted((e for e in monomials_of_degree(arity, d) if not any(exp_divides(b, e) for b in corners)), key=key)
+        found = [e for e, _, _ in elements]
+        assert standard == [e for e in free if e not in found]
+        assert found == [e for e in free if e in found]
+        corners += found
         degrees += 1
     if degrees < 10:  # the walk stopped: its last count persists
         stair = Staircase(arity, tuple(corners))
@@ -745,9 +753,9 @@ def test_standard_walk_takes_corners_appended_at_any_degree(seed):
         assert all(standard_count(stair, e) == last for e in range(degrees, degrees + 5))
 
 
-def test_standard_walk_divides_nothing(monkeypatch):
+def test_kernel_walk_divides_nothing(monkeypatch):
     # candidates come from set lookups on the previous degree's standard
-    # monomials, not from scanning the corners
+    # monomials, not from scanning the leads or the corners found
     calls = []
 
     def counted(a, b):
@@ -759,40 +767,43 @@ def test_standard_walk_divides_nothing(monkeypatch):
     walked = 0
     for _ in range(30):
         arity = rng.randint(1, 4)
-        corners = [tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(rng.randint(1, 6))]
-        walked += sum(len(c) for _, c in islice(standard_walk(arity, corners, DEGLEX), 12))
+        leads = [tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(rng.randint(1, 6))]
+        rows = unit_rows(_found_at_random(rng, arity, range(12)))
+        walk = islice(_kernel_walk(arity, DEGLEX, NEVER_FULL, rows, leads), 12)
+        walked += sum(len(std) + len(new) for _, std, new in walk)
     assert walked > 0
     assert calls == []
 
 
-def test_standard_walk_sorts_each_degree_by_order_key():
+def test_kernel_walk_sorts_each_degree_by_order_key():
     # the within-degree sort keys run in C; on one degree they order as order_key
     for order in (DEGLEX, DEGREVLEX):
         for arity in range(1, 6):
-            walked = list(islice(standard_walk(arity, [], order), 7))
+            walked = list(islice(_kernel_walk(arity, order, NEVER_FULL, unit_rows(), ()), 7))
             # with no corners, a single variable's count 1 persists from degree 2 on
-            assert [d for d, _ in walked] == list(range(3 if arity == 1 else 7))
-            for d, candidates in walked:
-                assert candidates == sorted(monomials_of_degree(arity, d), key=order_key(order))
+            assert [d for d, _, _ in walked] == list(range(3 if arity == 1 else 7))
+            for d, standard, _ in walked:
+                assert standard == sorted(monomials_of_degree(arity, d), key=order_key(order))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
-def test_standard_walk_matches_standard_count(seed):
+def test_kernel_walk_matches_standard_count(seed):
     rng = random.Random(seed)
     arity = rng.randint(1, 4)
     kind = rng.random()
     if kind < 0.1:
-        corners = []
+        leads = []
     elif kind < 0.2:
-        corners = [(0,) * arity]  # the unit ideal
+        leads = [(0,) * arity]  # the unit ideal
     else:
-        corners = [
+        leads = [
             tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(rng.randint(1, 5))
         ]
-    stair = Staircase(arity, tuple(corners))
+    stair = Staircase(arity, tuple(leads))
     counts = []
-    for d, std in islice(standard_walk(arity, list(corners), DEGLEX), 12):
+    for d, std, new in islice(_kernel_walk(arity, DEGLEX, NEVER_FULL, unit_rows(), leads), 12):
+        assert new == []
         assert len(std) == standard_count(stair, d)
         assert std == sorted(std, key=order_key(DEGLEX))
         counts.append(len(std))
