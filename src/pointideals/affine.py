@@ -13,7 +13,6 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import prod
 from operator import mul
 
@@ -23,7 +22,6 @@ from .poly import (
     GroebnerBasis,
     Polynomial,
     exp_divides,
-    monomials_of_degree,
     order_key,
     total_degree,
 )
@@ -106,24 +104,40 @@ class Staircase:
         return any(exp_divides(b, exp) for b in self.corners)
 
     def standard_monomials_upto(self, degree, order=DEGLEX):
-        out = []
-        for d in range(degree + 1):
-            out.extend(e for e in monomials_of_degree(self.arity, d) if not self.contains(e))
-        out.sort(key=order_key(order))
-        return out
+        """The standard monomials of degree <= `degree`, in increasing `order`."""
+        out, level = [], None
+        for _ in range(degree + 1):
+            level = _next_standard(self.arity, self.corners, level)
+            out += level
+        return sorted(out, key=order_key(order))
 
     def standard_monomials(self):
-        """All standard monomials; raises if D is infinite."""
-        bounds = []
+        """All standard monomials, in increasing tuple order; raises if D is infinite."""
         for i in range(self.arity):
-            pure = [b[i] for b in self.corners if all(x == 0 for j, x in enumerate(b) if j != i)]
-            if not pure:
+            if not any(all(x == 0 for j, x in enumerate(b) if j != i) for b in self.corners):
                 raise ValueError("staircase complement is infinite (no pure power in direction %d)" % (i + 1))
-            bounds.append(min(pure))
-        return [e for e in product(*(range(b) for b in bounds)) if not self.contains(e)]
+        out, level = [], _next_standard(self.arity, self.corners)
+        while level:
+            out += level
+            level = _next_standard(self.arity, self.corners, level)
+        return sorted(out)
 
     def max_corner_degree(self):
         return max((total_degree(b) for b in self.corners), default=0)
+
+
+def _next_standard(arity, corners, standard=None):
+    """Degree d+1's monomials that no corner divides, given degree d's
+    `standard` (None: degree 0's): e is one iff it is not in `corners` and
+    every e - e_i with e_i <= e is in `standard`, as a corner other than e
+    divides e iff it divides such an e - e_i.  So the corners need not be
+    minimal, nor need a caller (_kernel_walk) add a corner it drops."""
+    if standard is None:
+        border = Counter({(0,) * arity: 0})
+    else:
+        border = Counter(e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(arity))
+    # border[e] counts the i with e - e_i in standard
+    return [e for e, k in border.items() if k == arity - e.count(0) and e not in corners]
 
 
 def staircase_of(gb):

@@ -255,3 +255,7 @@ def main(argv=None):
 
 def console_main():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

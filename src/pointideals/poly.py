@@ -44,17 +44,6 @@ def exp_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomials_of_degree(arity, d):
-    """Yield all exponent vectors of the given arity and total degree d."""
-    if arity == 0:
-        if d == 0:
-            yield ()
-        return
-    for i in range(d + 1):
-        for rest in monomials_of_degree(arity - 1, d - i):
-            yield (i,) + rest
-
-
 # ---------------------------------------------------------------------------
 # term orders
 

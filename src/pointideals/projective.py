@@ -15,8 +15,8 @@ level's part at infinity, and the part at infinity of the cone over a
 chart (cone_basis).  Fed evaluation vectors at the points, the same
 per-degree kernel gives the deglex or degrevlex basis directly
 (projective_bm).  The kernel walks degree by degree over the standard
-monomials of the corners found so far (_kernel_walk), by set lookups,
-never dividing.
+monomials of the corners found so far (_kernel_walk), by the staircase's
+border rule (_next_standard), never dividing.
 The chart recursion's result is certified independently: a basis whose
 elements vanish (int sums by monomial columns, at the points' integer
 vectors) and whose staircase counts match the Hilbert function (the same
@@ -28,7 +28,6 @@ name each failing check.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import count, islice, product, repeat
 from math import gcd, lcm
@@ -40,6 +39,7 @@ from .affine import (
     Staircase,
     _basis,
     _bm_relations,
+    _next_standard,
     _value_columns,
     affine_points,
 )
@@ -93,19 +93,12 @@ def _kernel_walk(arity, order, s, rows, leads):
     form (lead, den, {standard exponent: int}) in lowest terms, the format
     of _normal_forms' memo.
 
-    A degree's candidates, the monomials no corner divides, come by set
-    lookups, in increasing deglex or degrevlex `order` (its only use): a
-    one-variable multiple e of degree d-1's standard monomials is one iff e
-    is not a lead and every e - e_i with e_i <= e is standard.  A corner b
-    other than e that divides e divides some such e - e_i, and no corner
-    divides a divisor of e if none divides e; so the leads need not be
-    minimal, and a corner found needs no record.
-
-    rows(candidates) gives one degree's candidates as vectors v_d(gamma),
-    each (int row, positive int den), of a linear map v_d with kernel I_d.
-    They go to one Echelon in increasing order; a candidate whose vector
-    depends on those kept before it is a corner gamma, and the dependency
-    is NF(gamma).
+    A degree's candidates, the monomials no corner divides, come from the
+    leads and degree d-1's standard monomials (_next_standard) and go, in
+    increasing deglex or degrevlex `order` (its only use), to one Echelon as
+    rows(candidates): vectors v_d(gamma), each (int row, positive int den),
+    of a linear map v_d with kernel I_d.  A candidate whose vector depends on
+    those kept before it is a corner gamma, and the dependency is NF(gamma).
 
     - A candidate is independent iff it is standard.  A smaller monomial
       of degree d that is not a candidate is a multiple of a corner (a
@@ -129,12 +122,11 @@ def _kernel_walk(arity, order, s, rows, leads):
     sort = {DEGLEX: {"key": itemgetter(slice(None, None, -1))}, DEGREVLEX: {"reverse": True}}[order]
     leads = set(leads)
     top = max(map(sum, leads), default=0)  # the largest lead degree
-    # border[e] counts the i with e - e_i standard in degree d-1
-    border = Counter({(0,) * arity: 0})
+    standard = None  # the standard monomials of the previous degree
     prev = None  # standard count of the previous degree
     full = False  # some degree had s standard monomials
     for d in count():
-        candidates = sorted((e for e, k in border.items() if k == arity - e.count(0) and e not in leads), **sort)
+        candidates = sorted(_next_standard(arity, leads, standard), **sort)
         standard, elements = candidates, []
         if not full or len(candidates) != s:
             ech = Echelon()
@@ -151,7 +143,6 @@ def _kernel_walk(arity, order, s, rows, leads):
         if c == prev and c <= d - 1 and top <= d - 1:
             return
         prev, full = c, full or c == s
-        border = Counter(e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard for i in range(arity))
 
 
 def _degree_kernel(arity, order, s, rows):

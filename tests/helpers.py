@@ -11,10 +11,10 @@ every S-pair, the merge that solves one linear system per candidate and
 the lift of the part at infinity that it was fed, the cone_basis that
 solves one per candidate and degree offset, and Buchberger's algorithm,
 the reference of the per-degree evaluation walk in any degree order.
-The term-order comparison, monomial and polynomial evaluation over the
-rationals, per-degree standard counts, kernel-walk rows of fixed
-verdicts, a cone basis's degree offsets and a basis's relations are
-brute-force helpers that only the tests use.
+The term-order comparison, every monomial of a degree, monomial and
+polynomial evaluation over the rationals, per-degree standard counts,
+kernel-walk rows of fixed verdicts, a cone basis's degree offsets and a
+basis's relations are brute-force helpers that only the tests use.
 """
 
 import heapq
@@ -44,7 +44,6 @@ from pointideals.poly import (
     exp_lcm,
     exp_sub,
     homogenize,
-    monomials_of_degree,
     normal_form,
     order_key,
     total_degree,
@@ -309,6 +308,17 @@ def evaluate(p, point):
     for exp, coeff in p.terms.items():
         total += coeff * monomial_value(exp, point)
     return total
+
+
+def monomials_of_degree(arity, d):
+    """Yield all exponent vectors of the given arity and total degree d."""
+    if arity == 0:
+        if d == 0:
+            yield ()
+        return
+    for i in range(d + 1):
+        for rest in monomials_of_degree(arity - 1, d - i):
+            yield (i,) + rest
 
 
 def standard_count(stair, degree):

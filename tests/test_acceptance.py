@@ -11,7 +11,7 @@ import json
 import random
 from fractions import Fraction
 
-from helpers import buchberger, cone_offsets, random_affine, random_projective
+from helpers import buchberger, cone_offsets, monomials_of_degree, random_affine, random_projective
 from pointideals import (
     DEGLEX,
     DEGREVLEX,
@@ -32,7 +32,7 @@ from pointideals import (
     staircase_of,
 )
 from pointideals.cli import main
-from pointideals.poly import exp_divides, monomials_of_degree, total_degree
+from pointideals.poly import exp_divides, total_degree
 
 
 def report(capsys, label, failures):

@@ -11,6 +11,7 @@ from helpers import (
     canonical_element,
     evaluate,
     monomial_value,
+    monomials_of_degree,
     prime_height_rows,
     random_affine,
     reference_buchberger_moeller,
@@ -79,6 +80,47 @@ def test_standard_monomials_finite_and_infinite():
     assert sorted(finite.standard_monomials()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     with pytest.raises(ValueError):
         Staircase(2, ((1, 2),)).standard_monomials()
+
+
+def _outcome(method, *args):
+    try:
+        return method(*args)
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+def test_standard_monomials_match_brute_force():
+    # the walks against every monomial tested against every corner, on random
+    # corner sets that need not be minimal, with or without pure powers, and
+    # the unit and zero ideals, in arity 0-4
+    rng = random.Random(21)
+    for _ in range(600):
+        n = rng.randint(0, 4)
+        corners = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+        corners += [tuple(rng.randint(1, 4) if j == i else 0 for j in range(n)) for i in range(n) if rng.random() < 0.7]
+        if rng.random() < 0.05:
+            corners.append((0,) * n)
+        stair = Staircase(n, tuple(rng.sample(corners, len(corners))))
+        cap = rng.randint(0, 6)
+        for order in (LEX, DEGLEX):
+            upto = [e for d in range(cap + 1) for e in monomials_of_degree(n, d) if not stair.contains(e)]
+            assert stair.standard_monomials_upto(cap, order) == sorted(upto, key=order_key(order))
+        pure = [[sum(b) for b in corners if sum(b) == b[i]] for i in range(n)]
+        if all(pure):
+            top = sum(map(min, pure))
+            everything = [e for d in range(top + 1) for e in monomials_of_degree(n, d) if not stair.contains(e)]
+            expected = sorted(everything)
+        else:
+            i = [bool(p) for p in pure].index(False)
+            expected = "ValueError: staircase complement is infinite (no pure power in direction %d)" % (i + 1)
+        assert _outcome(stair.standard_monomials) == expected
+
+
+def test_standard_monomials_upto_walks_only_the_output():
+    # C(2004, 4), about 7e11 monomials of degree <= 2000 in 4 variables, and
+    # 2001 standard ones
+    stair = Staircase(4, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    assert stair.standard_monomials_upto(2000) == [(k, 0, 0, 0) for k in range(2001)]
 
 
 def test_staircase_of_zero_ideal_has_no_corners():

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,24 @@ def test_negative_degree_cap_exits_2(write, capsys, command):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.count("\n") == 1 and "degree-cap" in err
+
+
+def test_module_runs_as_a_process(write, capsys):
+    # `python -m pointideals.cli` is the same program as the console script
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def process(*argv):
+        cmd = [sys.executable, "-m", "pointideals.cli", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+    points = write("p.json", P1_THREE)
+    done = process("hilbert", points, "--degree-cap", "3")
+    assert done.returncode == EXIT_OK
+    assert done.stdout == run(capsys, "hilbert", points, "--degree-cap", "3")[1]
+    done = process("gb", write("bad.json", '{"space": "affine"'))
+    assert done.returncode == EXIT_INPUT
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("input error:")
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

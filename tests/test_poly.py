@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import buchberger, compare, evaluate, reference_normal_form
+from helpers import buchberger, compare, evaluate, monomials_of_degree, reference_normal_form
 from pointideals.poly import (
     DEGLEX,
     DEGREVLEX,
@@ -16,7 +16,6 @@ from pointideals.poly import (
     dehomogenize,
     exp_divides,
     homogenize,
-    monomials_of_degree,
     normal_form,
     order_key,
     poly_str,

@@ -17,6 +17,7 @@ from helpers import (
     cone_offsets,
     evaluate,
     monomial_value,
+    monomials_of_degree,
     prime_height_rows,
     random_affine,
     random_fraction,
@@ -55,7 +56,7 @@ from pointideals import (
 from pointideals import affine, projective
 from pointideals.affine import _basis
 from pointideals.linalg import Echelon
-from pointideals.poly import LEX, exp_divides, monomials_of_degree, normal_form, order_key, s_polynomial
+from pointideals.poly import LEX, exp_divides, normal_form, order_key, s_polynomial
 from pointideals.projective import (
     _degree_kernel,
     _evaluation_rows,
@@ -585,6 +586,37 @@ def test_hilbert_function_matches_reference():
     # equal numerators, distinct points: the denominators must count
     ps = projective_points(1, [[1, Fraction(1, k)] for k in (2, 3, 5)])
     assert [hilbert_function(ps, d) for d in range(4)] == [1, 2, 3, 3]
+
+
+def _closed_form_cases():
+    """(point set, H) for sets whose Hilbert function is known in
+    closed form, with one point at infinity on the curve and the line."""
+    for n in (2, 3, 4):
+        for s in (5, 9):
+            # the rational normal curve (1 : t : ... : t^n), t = 0 ... s-2 and infinity
+            rows = [[t ** k for k in range(n + 1)] for t in range(s - 1)] + [[0] * n + [1]]
+            ps = projective_points(n, rows)
+            yield pytest.param(ps, lambda d, n=n, s=s: min(s, n * d + 1), id="curve-n%d-s%d" % (n, s))
+        # 7 points on the line (1 : t : 2t+1 : 3t-2 : t/2+1), t = -3 ... 2 and infinity
+        rows = [[1, t, 2 * t + 1, 3 * t - 2, Fraction(t, 2) + 1][: n + 1] for t in range(-3, 3)]
+        rows.append([0, 1, 2, 3, Fraction(1, 2)][: n + 1])
+        yield pytest.param(projective_points(n, rows), lambda d: min(7, d + 1), id="line-n%d" % n)
+    # the 3x4 grid (1 : i : j/3), a complete intersection of degrees 3 and 4
+    rows = [[1, i, Fraction(j, 3)] for i in range(3) for j in range(4)]
+    ps = projective_points(2, rows)
+    yield pytest.param(ps, lambda d: sum(i + j <= d for i in range(3) for j in range(4)), id="grid-3x4")
+
+
+@pytest.mark.parametrize("ps, h", list(_closed_form_cases()))
+def test_hilbert_function_closed_forms(ps, h):
+    # hilbert_values and the basis's staircase both count H(d) at d <= 40,
+    # and the axis census counts the charts' points
+    expected = [h(d) for d in range(41)]
+    assert list(islice(hilbert_values(ps), 41)) == expected
+    stair = staircase_of(projective_gb(ps))
+    degrees = [sum(e) for e in stair.standard_monomials_upto(40)]
+    assert [degrees.count(d) for d in range(41)] == expected
+    assert list(axis_census(stair).per_direction) == [len(c.points) for c in split_charts(ps)]
 
 
 def test_empty_set_is_unit_ideal():
