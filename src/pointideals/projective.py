@@ -17,7 +17,7 @@ per-degree kernel gives the deglex or degrevlex basis directly
 (projective_bm).  The kernel walks degree by degree over the standard
 monomials of the corners found so far (_kernel_walk), by the staircase's
 border rule (_next_standard), never dividing.
-The chart recursion's result is certified independently: a basis whose
+Every basis these engines return is certified independently: a basis whose
 elements vanish (int sums by monomial columns, at the points' integer
 vectors) and whose staircase counts match the Hilbert function (the same
 kernel walk on evaluation vectors, started from the basis's leading
@@ -95,7 +95,7 @@ def _kernel_walk(arity, order, s, rows, leads):
 
     A degree's candidates, the monomials no corner divides, come from the
     leads and degree d-1's standard monomials (_next_standard) and go, in
-    increasing deglex or degrevlex `order` (its only use), to one Echelon as
+    increasing `order` (its only use), to one Echelon as
     rows(candidates): vectors v_d(gamma), each (int row, positive int den),
     of a linear map v_d with kernel I_d.  A candidate whose vector depends on
     those kept before it is a corner gamma, and the dependency is NF(gamma).
@@ -118,8 +118,8 @@ def _kernel_walk(arity, order, s, rows, leads):
       bound c^<d-1> = c caps degree d's candidates at c, so no element was
       found at d either: no corner lies beyond d-1, and by Gotzmann's
       persistence theorem the count is c in every higher degree."""
-    # within one degree, sorted() by these keys, which run in C, orders as order_key
-    sort = {DEGLEX: {"key": itemgetter(slice(None, None, -1))}, DEGREVLEX: {"reverse": True}}[order]
+    # within one degree, sorted() by these keys, in C, orders as order_key (lex as deglex)
+    sort = {"reverse": True} if order == DEGREVLEX else {"key": itemgetter(slice(None, None, -1))}
     leads = set(leads)
     top = max(map(sum, leads), default=0)  # the largest lead degree
     standard = None  # the standard monomials of the previous degree
@@ -281,8 +281,8 @@ def cone_basis(chart):
 
 
 def projective_bm(pointset, order):
-    """Reduced deglex or degrevlex basis of the vanishing ideal of a
-    projective point set, by the projective Buchberger-Moeller walk.
+    """Certified reduced deglex or degrevlex basis of the vanishing ideal of
+    a projective point set, by the projective Buchberger-Moeller walk.
 
     The degree-d part of the ideal is the kernel of evaluation at the
     points (_evaluation_rows), walked by _degree_kernel."""
@@ -291,7 +291,8 @@ def projective_bm(pointset, order):
     if order not in (DEGLEX, DEGREVLEX):
         raise ValueError("projective_bm needs a degree-compatible order, got %r" % (order,))
     arity = pointset.dimension + 1
-    return _basis(arity, order, _degree_kernel(arity, order, len(pointset.points), _evaluation_rows(pointset)))
+    relations = _degree_kernel(arity, order, len(pointset.points), _evaluation_rows(pointset))
+    return _certified(_basis(arity, order, relations), pointset)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +316,7 @@ def projective_gb(pointset):
     for j, chart in reversed(list(enumerate(split_charts(pointset)))):
         s += len(chart.points)
         current = _level(n + 1 - j, s, current, chart)
-    gb = _basis(n + 1, DEGLEX, current)
-    report = certify(gb, pointset)
-    if not report.passed:
-        raise ArithmeticError("internal certification failed: %s" % "; ".join(report.reasons))
-    return gb
+    return _certified(_basis(n + 1, DEGLEX, current), pointset)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +396,9 @@ class CertReport:
     reasons: tuple
 
 
-def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
-    """Reasons from the checks certify and affine_certify share, in order.
+def _certify_core(gb, pointset, arity, homogeneous, count_reason):
+    """Reasons from the checks certify and affine_certify share, in order,
+    each in gb's own order.
 
     The arity check reads gb's own arity, which an empty basis carries
     too, and each element's.  After it and the element, vanishing and
@@ -435,7 +433,7 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
             continue
         if homogeneous and not g.is_homogeneous():
             reasons.append("element %d is not homogeneous: %s" % (idx, g))
-        leads[idx], lc = g.leading(order)
+        leads[idx], lc = g.leading(gb.order)
         if lc != 1:
             reasons.append("element %d is not monic" % idx)
         top = g.total_degree()
@@ -461,19 +459,20 @@ def _certify_core(gb, pointset, arity, order, homogeneous, count_reason):
         "S-polynomial of elements %d and %d does not reduce to zero" % (i, j)
         for i in range(len(elements))
         for j in range(i + 1, len(elements))
-        if not normal_form(s_polynomial(elements[i], elements[j], order), elements, order).is_zero()
+        if not normal_form(s_polynomial(elements[i], elements[j], gb.order), elements, gb.order).is_zero()
     ]
     return failing or [reason]
 
 
 def certify(gb, pointset):
-    """Certificate that gb is the reduced deglex basis of the vanishing
-    ideal I of the point set.
+    """Certificate that gb is the reduced basis, in its order gb.order, of
+    the vanishing ideal I of the point set.
 
     Checks: every element homogeneous, monic and vanishing at every point;
     autoreducedness; and the standard-monomial counts c_J(d) of J = <in(gb)>
     equal the Hilbert function H of I degree by degree, walked by
-    _kernel_walk until its stop rule holds.  These prove it with no S-pair:
+    _kernel_walk until its stop rule holds.  These prove it with no S-pair,
+    in any term order, as on homogeneous elements the proof uses only counts:
 
     - Every element vanishes, so <gb> lies in I and J in in(I).  Hence
       c_J(d) >= H(d), with equality in every degree iff J = in(I), that is
@@ -504,13 +503,13 @@ def certify(gb, pointset):
 
     def hilbert_reason(leads, col):
         s = len(pointset.points)
-        for d, standard, elements in _kernel_walk(m, DEGLEX, s, lambda cs: [(col(e), 1) for e in cs], leads):
+        for d, standard, elements in _kernel_walk(m, gb.order, s, lambda cs: [(col(e), 1) for e in cs], leads):
             if elements:
                 c = len(standard)
                 return "degree %d: %d standard monomials but Hilbert function %d" % (d, c + len(elements), c)
         return None
 
-    reasons = _certify_core(gb, pointset, m, DEGLEX, homogeneous=True, count_reason=hilbert_reason)
+    reasons = _certify_core(gb, pointset, m, homogeneous=True, count_reason=hilbert_reason)
     return CertReport(not reasons, tuple(reasons))
 
 
@@ -535,7 +534,14 @@ def affine_certify(gb, pointset):
             return "staircase complement is infinite"
         return None if len(std) == s else "%d standard monomials but %d points" % (len(std), s)
 
-    reasons = _certify_core(
-        gb, pointset, pointset.dimension, gb.order, homogeneous=False, count_reason=colength_reason
-    )
+    reasons = _certify_core(gb, pointset, pointset.dimension, homogeneous=False, count_reason=colength_reason)
     return CertReport(not reasons, tuple(reasons))
+
+
+def _certified(gb, pointset):
+    """gb, once the certificate of its point set's mode accepts it; one that
+    fails is an engine's bug, raised as ArithmeticError."""
+    report = (certify if pointset.mode == PROJECTIVE else affine_certify)(gb, pointset)
+    if not report.passed:
+        raise ArithmeticError("internal certification failed: %s" % "; ".join(report.reasons))
+    return gb

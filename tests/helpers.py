@@ -375,8 +375,8 @@ def reference_normal_form(f, divisors, order):
 
 
 def reference_certify(gb, pointset):
-    """Certificate that gb is the reduced deglex basis of the vanishing
-    ideal of the point set.
+    """Certificate that gb is the reduced basis, in its own order, of the
+    vanishing ideal of the point set.
 
     Checks: every element homogeneous, monic and vanishing at every point;
     autoreducedness; every S-polynomial reduces to zero; and the staircase
@@ -386,6 +386,7 @@ def reference_certify(gb, pointset):
     s = len(pointset.points)
     m = pointset.dimension + 1
     elements = gb.elements
+    order = gb.order
     if gb.arity != m:
         reasons.append("basis arity %d does not match ambient %d" % (gb.arity, m))
         return CertReport(False, tuple(reasons))
@@ -395,7 +396,7 @@ def reference_certify(gb, pointset):
             continue
         if not g.is_homogeneous():
             reasons.append("element %d is not homogeneous: %s" % (idx, g))
-        if g.leading(DEGLEX)[1] != 1:
+        if g.leading(order)[1] != 1:
             reasons.append("element %d is not monic" % idx)
         for p in pointset.points:
             if evaluate(g, p) != 0:
@@ -405,13 +406,13 @@ def reference_certify(gb, pointset):
         for j, h in enumerate(elements):
             if i == j:
                 continue
-            lh = h.leading(DEGLEX)[0]
+            lh = h.leading(order)[0]
             if any(exp_divides(lh, e) for e in g.terms):
                 reasons.append("element %d is reducible by element %d" % (i, j))
     if not reasons:
         for i in range(len(elements)):
             for j in range(i + 1, len(elements)):
-                r = reference_normal_form(s_polynomial(elements[i], elements[j], DEGLEX), elements, DEGLEX)
+                r = reference_normal_form(s_polynomial(elements[i], elements[j], order), elements, order)
                 if not r.is_zero():
                     reasons.append("S-polynomial of elements %d and %d does not reduce to zero" % (i, j))
     if not reasons:

@@ -26,6 +26,7 @@ from pointideals import (
     dehomogenize,
     hilbert_function,
     poly_str,
+    projective_bm,
     projective_gb,
     projective_points,
     split_charts,
@@ -157,15 +158,23 @@ def test_criterion_6_certificate_soundness(capsys):
         bad = GroebnerBasis(DEGLEX, gb.elements[:i] + (mutated,) + gb.elements[i + 1 :])
         if certify(bad, ps).passed:
             failures.append(("mutation accepted", k, poly_str(mutated)))
-    # every basis with one element dropped, from the pool and from larger
-    # sets in P2 and P3; many pass every check before the S-pairs, so they
-    # gate the pruned S-pair stage
+    # every basis with one element dropped, deglex and degrevlex, from the
+    # pool and from larger sets in P2 and P3; many pass every check before
+    # the S-pairs, so they gate the pruned S-pair stage
     big_rng = random.Random(6060)
     big = [random_projective(big_rng, big_rng.randint(2, 3), big_rng.randint(5, 9)) for _ in range(8)]
-    dropped = spair_rejects = 0
-    for idx, (gb, ps) in enumerate(pool + [(projective_gb(ps), ps) for ps in big]):
+    bases = pool + [(projective_gb(ps), ps) for ps in big]
+    revlex = [(projective_bm(ps, DEGREVLEX), ps) for _, ps in bases]
+    dropped = spair_rejects = relabelled = 0
+    for idx, ((gb, ps), (rgb, _)) in enumerate(zip(bases, revlex)):
+        # where the two bases differ, the deglex one labelled degrevlex is wrong
+        if set(rgb.elements) != set(gb.elements):
+            relabelled += 1
+            if certify(GroebnerBasis(DEGREVLEX, gb.elements, gb.arity), ps).passed:
+                failures.append(("deglex basis accepted as degrevlex", idx))
+    for idx, (gb, ps) in enumerate(bases + revlex):
         for i in range(len(gb.elements)):
-            bad = GroebnerBasis(DEGLEX, gb.elements[:i] + gb.elements[i + 1 :], gb.arity)
+            bad = GroebnerBasis(gb.order, gb.elements[:i] + gb.elements[i + 1 :], gb.arity)
             result = certify(bad, ps)
             dropped += 1
             if result.passed:
@@ -173,10 +182,13 @@ def test_criterion_6_certificate_soundness(capsys):
             spair_rejects += any(r.startswith("S-polynomial of elements") for r in result.reasons)
     if not spair_rejects:
         failures.append("no dropped-element basis was rejected at the S-pair stage")
+    if not relabelled:
+        failures.append("no deglex basis differs from the degrevlex one")
     report(
         capsys,
-        "criterion 6: certificate accepts computed bases, rejects 50 single-term mutations "
-        "and %d dropped-element bases (%d at the S-pairs)" % (dropped, spair_rejects),
+        "criterion 6: certificate accepts computed bases, rejects 50 single-term mutations, "
+        "%d dropped-element bases (%d at the S-pairs) and %d relabelled bases"
+        % (dropped, spair_rejects, relabelled),
         failures,
     )
 

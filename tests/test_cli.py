@@ -9,7 +9,18 @@ from pathlib import Path
 import pytest
 
 from helpers import reference_certify
-from pointideals import DEGLEX, GroebnerBasis, cli, io, projective, projective_gb
+from pointideals import (
+    DEGLEX,
+    DEGREVLEX,
+    CertReport,
+    GroebnerBasis,
+    buchberger_moeller,
+    cli,
+    io,
+    projective,
+    projective_bm,
+    projective_gb,
+)
 from pointideals.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main
 
 P1_THREE = {"space": "projective", "dim": 1, "points": [["1", "0"], ["1", "1"], ["0", "1"]]}
@@ -21,6 +32,7 @@ P2_PARABOLA = {
     "points": [["1", "0", "0"], ["1", "1", "1"], ["1", "2", "4"], ["0", "0", "1"]],
 }
 AFF_ONE = {"space": "affine", "dim": 2, "points": [["3", "5"]]}
+AFF_FOUR = {"space": "affine", "dim": 3, "points": [["0", "0", "0"], ["1", "2", "3"], ["2", "1", "0"], ["1", "1", "1"]]}
 
 
 @pytest.fixture
@@ -85,8 +97,8 @@ def test_gb_verify_flag(write, capsys):
     assert code == EXIT_OK
 
 
-@pytest.mark.parametrize("doc, expected", [(P2_PARABOLA, ["certify"]), (AFF_ONE, ["affine_certify"])])
-def test_gb_verify_certifies_once(write, capsys, monkeypatch, doc, expected):
+def _count_certificates(monkeypatch):
+    """The names of the certificates run from now on, in order."""
     calls = []
     for name in ("certify", "affine_certify"):
 
@@ -96,12 +108,66 @@ def test_gb_verify_certifies_once(write, capsys, monkeypatch, doc, expected):
 
         monkeypatch.setattr(projective, name, counting)
         monkeypatch.setattr(cli, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("doc, expected", [(P2_PARABOLA, ["certify"]), (AFF_ONE, ["affine_certify"])])
+def test_gb_verify_certifies_once(write, capsys, monkeypatch, doc, expected):
+    # every printed basis is certified exactly once, --verify or not
+    calls = _count_certificates(monkeypatch)
     points = write("p.json", doc)
     code, out, _ = run(capsys, "gb", points, "--verify")
     assert code == EXIT_OK
     assert calls == expected
-    # the output is that of gb without --verify
-    assert out == run(capsys, "gb", points)[1]
+    for argv in (["gb"], ["staircase", "--render"], ["render"]):
+        calls.clear()
+        code, out2, _ = run(capsys, *argv, points)
+        assert code == EXIT_OK
+        assert calls == expected
+        if argv == ["gb"]:
+            # the output is that of gb with --verify
+            assert out2 == out
+
+
+def test_compare_orders_certifies_both_bases(write, capsys, monkeypatch):
+    calls = _count_certificates(monkeypatch)
+    code, _, _ = run(capsys, "compare-orders", write("p.json", P2_PARABOLA))
+    assert code == EXIT_OK
+    assert calls == ["certify", "certify"]
+
+
+@pytest.mark.parametrize(
+    "doc, command, name, spared",
+    [(AFF_ONE, "gb", "affine_certify", None), (P2_PARABOLA, "compare-orders", "certify", DEGLEX)],
+)
+def test_failed_certificate_exits_3(write, capsys, monkeypatch, doc, command, name, spared):
+    # the certificate fails every basis but those in the order `spared`: for
+    # compare-orders, only the degrevlex basis from projective_bm
+    monkeypatch.setattr(projective, name, lambda gb, ps: CertReport(gb.order == spared, ("planted",)))
+    code, out, err = run(capsys, command, write("p.json", doc))
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: internal certification failed: planted\n"
+
+
+def test_verify_reads_the_document_order(write, capsys):
+    # each basis is certified in its document's order: degrevlex, and the
+    # deglex basis labelled lex (the two orders agree on forms), in P2; and
+    # degrevlex in A3; a single-term mutant is rejected
+    points = write("p.json", P2_PARABOLA)
+    ps = io.parse_points(json.dumps(P2_PARABOLA))
+    revlex = io.basis_doc(projective_bm(ps, DEGREVLEX), extra={"space": "projective", "dim": 2})
+    relabelled = dict(io.basis_doc(projective_gb(ps)), order="lex")
+    mutant = json.loads(json.dumps(revlex))
+    mutant["basis"][0][1][1] = "17"
+    for doc, expected in ((revlex, EXIT_OK), (relabelled, EXIT_OK), (mutant, EXIT_VERIFY)):
+        code, out, _ = run(capsys, "verify", points, write("b.json", doc))
+        assert code == expected
+        assert json.loads(out)["passed"] is (expected == EXIT_OK)
+    affine = io.parse_points(json.dumps(AFF_FOUR))
+    doc = io.basis_doc(buchberger_moeller(affine, DEGREVLEX)[0], first_var=2)
+    code, out, _ = run(capsys, "verify", write("a.json", AFF_FOUR), write("b.json", doc))
+    assert (code, json.loads(out)["passed"]) == (EXIT_OK, True)
 
 
 def test_axes_matches(write, capsys):

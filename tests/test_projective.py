@@ -5,7 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -209,7 +209,8 @@ def test_degree_kernel_rejects_wrong_point_count():
 def test_degree_kernel_skips_full_degrees(monkeypatch):
     # once a degree has s standard monomials, a later degree with exactly s
     # candidates is all standard: from the first such degree on, no vector
-    # is added, while the degrees between still add theirs
+    # is added, while the degrees between still add theirs (the walk is
+    # run on its own, as projective_bm's certificate walks again)
     walked, adds = [], []
 
     def walk(*args):
@@ -230,7 +231,7 @@ def test_degree_kernel_skips_full_degrees(monkeypatch):
     for order in (DEGLEX, DEGREVLEX):
         walked.clear()
         adds.clear()
-        projective_bm(ps, order)
+        _degree_kernel(3, order, 10, _evaluation_rows(ps))
         skipped = next(d for d in range(first_full + 1, len(walked)) if walked[d] == 10)
         assert first_full + 1 in adds
         assert max(adds) < skipped
@@ -549,6 +550,8 @@ def test_hilbert_values_match_hilbert_function():
         ps = random_projective(rng, n, s) if rng.random() < 0.5 else _with_points_at_infinity(rng, n, s)
         expected = [reference_hilbert_function(ps, d) for d in range(s + 3)]
         assert list(islice(hilbert_values(ps), s + 3)) == expected
+        # at most one per point and one per monomial of the degree
+        assert all(h <= min(s, comb(n + d, n)) for d, h in enumerate(expected))
 
 
 def _random_hilbert_points(rng, n, s):
@@ -589,31 +592,36 @@ def test_hilbert_function_matches_reference():
 
 
 def _closed_form_cases():
-    """(point set, H) for sets whose Hilbert function is known in
-    closed form, with one point at infinity on the curve and the line."""
+    """(point set, H, basis degrees or None) for sets whose Hilbert function
+    is known in closed form, with one point at infinity on the curve and
+    the line.  The line's ideal is its n - 1 linear forms and one form of
+    degree 7 vanishing at its points."""
     for n in (2, 3, 4):
         for s in (5, 9):
             # the rational normal curve (1 : t : ... : t^n), t = 0 ... s-2 and infinity
             rows = [[t ** k for k in range(n + 1)] for t in range(s - 1)] + [[0] * n + [1]]
             ps = projective_points(n, rows)
-            yield pytest.param(ps, lambda d, n=n, s=s: min(s, n * d + 1), id="curve-n%d-s%d" % (n, s))
+            yield pytest.param(ps, lambda d, n=n, s=s: min(s, n * d + 1), None, id="curve-n%d-s%d" % (n, s))
         # 7 points on the line (1 : t : 2t+1 : 3t-2 : t/2+1), t = -3 ... 2 and infinity
         rows = [[1, t, 2 * t + 1, 3 * t - 2, Fraction(t, 2) + 1][: n + 1] for t in range(-3, 3)]
         rows.append([0, 1, 2, 3, Fraction(1, 2)][: n + 1])
-        yield pytest.param(projective_points(n, rows), lambda d: min(7, d + 1), id="line-n%d" % n)
+        yield pytest.param(projective_points(n, rows), lambda d: min(7, d + 1), [1] * (n - 1) + [7], id="line-n%d" % n)
     # the 3x4 grid (1 : i : j/3), a complete intersection of degrees 3 and 4
     rows = [[1, i, Fraction(j, 3)] for i in range(3) for j in range(4)]
     ps = projective_points(2, rows)
-    yield pytest.param(ps, lambda d: sum(i + j <= d for i in range(3) for j in range(4)), id="grid-3x4")
+    yield pytest.param(ps, lambda d: sum(i + j <= d for i in range(3) for j in range(4)), None, id="grid-3x4")
 
 
-@pytest.mark.parametrize("ps, h", list(_closed_form_cases()))
-def test_hilbert_function_closed_forms(ps, h):
+@pytest.mark.parametrize("ps, h, basis_degrees", list(_closed_form_cases()))
+def test_hilbert_function_closed_forms(ps, h, basis_degrees):
     # hilbert_values and the basis's staircase both count H(d) at d <= 40,
     # and the axis census counts the charts' points
     expected = [h(d) for d in range(41)]
     assert list(islice(hilbert_values(ps), 41)) == expected
-    stair = staircase_of(projective_gb(ps))
+    gb = projective_gb(ps)
+    if basis_degrees is not None:
+        assert [g.total_degree() for g in gb.elements] == basis_degrees
+    stair = staircase_of(gb)
     degrees = [sum(e) for e in stair.standard_monomials_upto(40)]
     assert [degrees.count(d) for d in range(41)] == expected
     assert list(axis_census(stair).per_direction) == [len(c.points) for c in split_charts(ps)]
@@ -914,10 +922,11 @@ def test_certify_matches_reference():
         s = rng.randint(1, 7)
         ps = random_projective(rng, n, s) if rng.random() < 0.5 else _with_points_at_infinity(rng, n, s)
         other = random_projective(rng, n, s)
-        for gb, points in _candidates(projective_gb(ps), ps, other, rng):
-            report = certify(gb, points)
-            assert report == reference_certify(gb, points)
-            spair_rejects += any(r.startswith("S-polynomial") for r in report.reasons)
+        for basis in (projective_gb(ps), projective_bm(ps, DEGREVLEX)):
+            for gb, points in _candidates(basis, ps, other, rng):
+                report = certify(gb, points)
+                assert report == reference_certify(gb, points)
+                spair_rejects += any(r.startswith("S-polynomial") for r in report.reasons)
     assert spair_rejects > 0
 
 
@@ -929,7 +938,7 @@ def test_affine_certify_matches_reference():
         s = rng.randint(1, 8)
         ps = random_affine(rng, n, s)
         other = random_affine(rng, n, s)
-        for order in (LEX, DEGLEX):
+        for order in (LEX, DEGLEX, DEGREVLEX):
             gb = buchberger_moeller(ps, order)[0]
             for cand, points in _candidates(gb, ps, other, rng):
                 report = affine_certify(cand, points)
