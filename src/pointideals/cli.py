@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+DEGREE_CAP_LIMIT = 10**5  # the largest (cap + 1) * max(s, 1) that --degree-cap may ask for on s points
 
 
 def _read(path):
@@ -230,6 +231,8 @@ def main(argv=None):
         return EXIT_INPUT
     try:
         ps = io.parse_points(_read(args.input))
+        if args.degree_cap is not None and (args.degree_cap + 1) * max(len(ps.points), 1) > DEGREE_CAP_LIMIT:
+            raise io.InputError("--degree-cap %d asks for over %d values" % (args.degree_cap, DEGREE_CAP_LIMIT))
         if args.command in ("axes", "hilbert", "compare-orders") and ps.mode != PROJECTIVE:
             raise io.InputError("the %s command needs a projective point set" % args.command)
         return args.func(args, ps)

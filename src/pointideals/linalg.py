@@ -9,8 +9,9 @@ Its entry a at the pivot of a stored row with pivot entry b is cleared in
 place: aug is multiplied by b/g, only if that is not 1, and a/g times the
 stored row's aug is subtracted over that row's support (its nonzero
 entries) alone, g = gcd(a, b).  If aug[:n] is not zero, aug is stored with
-its support, divided by its content and signed so that its pivot (first
-nonzero entry) is positive.  Otherwise v is sum(c_j * v_j) with
+its support, divided by its content (if that is not 1) and signed so that
+its pivot (first nonzero entry) is positive; the pivot and the support
+are found by compress, in C.  Otherwise v is sum(c_j * v_j) with
 c_j = -t_j * D_j / (t_new * D), returned as ints over one positive int
 denominator in lowest terms: the kernel builds no Fraction.  Nothing is
 re-solved from scratch, so k additions of length-L vectors cost
@@ -20,6 +21,7 @@ There is no floating point, so rank and dependency are exact predicates
 and every coefficient is an exact rational.
 """
 
+from itertools import compress
 from math import gcd, lcm
 
 
@@ -69,13 +71,14 @@ class Echelon:
                 a //= g
                 for i in support:
                     aug[i] -= a * stored[i]
-        pivot = next((i for i in range(n) if aug[i]), None)
+        pivot = next(compress(range(n), aug), None)
         if pivot is None:
             t = aug[-1] * den  # t_new * D
             coeffs = [-aug[n + j] * r[4] for j, r in enumerate(self._rows)]
             g = gcd(t, *coeffs) if t > 0 else -gcd(t, *coeffs)
             return [c // g for c in coeffs], t // g
         g = gcd(*aug) if aug[pivot] > 0 else -gcd(*aug)
-        aug = [x // g for x in aug]
-        self._rows.append((pivot, aug[pivot], [i for i, x in enumerate(aug) if x], aug, den))
+        if g != 1:
+            aug = [x // g for x in aug]
+        self._rows.append((pivot, aug[pivot], list(compress(range(len(aug)), aug)), aug, den))
         return None

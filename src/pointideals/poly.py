@@ -17,7 +17,6 @@ from fractions import Fraction
 LEX = "lex"
 DEGLEX = "deglex"
 DEGREVLEX = "degrevlex"
-ORDERS = (LEX, DEGLEX, DEGREVLEX)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ name each failing check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import count, islice, product, repeat
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .affine import (
     AFFINE,
@@ -243,26 +244,41 @@ def _level(arity, s, infinite, chart):
     `infinite` and NF(F(1, x)) modulo the lex basis of I, whose relations
     Buchberger-Moeller yields (_bm_relations).  The degree-d part of the
     ideal is the kernel of that map, walked by _degree_kernel on the two
-    sides' int normal forms over the lcm of their denominators, keyed by
-    (side, exponent).  X^gamma restricts to x^gamma[1:] on the chart, and
-    at infinity to x^gamma[1:] if gamma[0] is 0 and to zero otherwise.
-    Each side's normal forms come by multiplication from one memo
-    (_normal_forms) for the whole walk.  The ideal of a part that is all of
-    its space (a point of P^0 or A^0) is zero, and _normal_forms of its
-    empty basis is the identity: there, F restricted to it is in the ideal
-    iff it is zero."""
-    sides = [(0, _normal_forms(infinite)), (1, _normal_forms(_bm_relations(chart, LEX)[0]))]
+    sides' int normal forms over the lcm of their denominators, each side's
+    from one memo (_normal_forms) for the whole walk.  X^gamma restricts to
+    x^gamma[1:] on the chart, and at infinity to x^gamma[1:] if gamma[0] is
+    0 and to zero otherwise.  A row's columns are the degree's exponents at
+    infinity, first seen first, then the chart's lex standard monomials, on
+    which each x^m's chart row is laid once per level: a candidate X1
+    divides takes it as it is, any other scaled to the lcm (the kernel's
+    results do not depend on the column order).  The ideal of a part that
+    is all of its space (a point of P^0 or A^0) is zero, and _normal_forms
+    of its empty basis is the identity: there, F restricted to it is in the
+    ideal iff it is zero."""
+    at_infinity = _normal_forms(infinite)
+    relations, standard = _bm_relations(chart, LEX)
+    on_chart = _normal_forms(relations)
+
+    @cache
+    def chart_row(m):
+        den, terms = on_chart(m)
+        return den, [terms.get(e, 0) for e in standard]
 
     def rows(candidates):
-        vecs = []
-        for gamma in candidates:
-            # at infinity, X1 * X^m restricts to 0
-            parts = [(side, nf(gamma[1:])) for side, nf in sides if side or not gamma[0]]
-            den = lcm(*(d for _, (d, _) in parts))
-            vec = {(side, e): c * (den // d) for side, (d, terms) in parts for e, c in terms.items()}
-            vecs.append((vec, den))
-        columns = sorted(set().union(*(vec for vec, _ in vecs)))
-        return [([vec.get(col, 0) for col in columns], den) for vec, den in vecs]
+        # at infinity, X1 * X^m restricts to 0
+        infinity = [None if gamma[0] else at_infinity(gamma[1:]) for gamma in candidates]
+        index = dict(zip({e: None for nf in infinity if nf for e in nf[1]}, count()))
+        for gamma, nf in zip(candidates, infinity):
+            den, row = chart_row(gamma[1:])
+            vec = [0] * len(index)
+            if nf is not None:
+                d, terms = nf
+                scale = lcm(d, den)
+                for e, c in terms.items():
+                    vec[index[e]] = c * (scale // d)
+                if scale != den:
+                    row, den = [x * (scale // den) for x in row], scale
+            yield vec + row, den
 
     return _degree_kernel(arity, DEGLEX, s, rows)
 
@@ -403,9 +419,10 @@ def _certify_core(gb, pointset, arity, homogeneous, count_reason):
     The arity check reads gb's own arity, which an empty basis carries
     too, and each element's.  After it and the element, vanishing and
     autoreducedness checks pass, count_reason(leads, col) compares the
-    leading exponents' staircase with the points (col: the vanishing
-    check's monomial value columns); it returns None only when that proves
-    gb to be the reduced basis, and then no S-pair is reduced.  Otherwise every S-pair is reduced once: the
+    leading exponents' staircase with the points (col(e): the values of X^e
+    at the points' integer vectors, from the vanishing check's table); it
+    returns None only when that proves gb to be the reduced basis, and then
+    no S-pair is reduced.  Otherwise every S-pair is reduced once: the
     failing ones are the reasons, and the comparison's reason stands only
     if every pair reduces to zero.  A zero element is reported and reduces
     nothing.
@@ -413,19 +430,20 @@ def _certify_core(gb, pointset, arity, homogeneous, count_reason):
     The vanishing check sums ints: for g of top degree T, D the lcm of its
     coefficients' denominators and (q*p, q) a point's integer vector and
     scale (cleared), sum((D*c_e) * q^(T-|e|) * (q*p)^e) over g's terms
-    c_e*X^e is D * q^T * g(p), zero iff g(p) is, homogeneous g or not.  It
-    is summed by monomial columns, each monomial's values at all q*p
-    computed once: a term adds its column times D*c_e (and q^(T-|e|) if not
-    1) to g's sums at all points.  Autoreducedness lists, once per distinct
-    term, the elements whose leading exponent divides it; element i is
-    reducible by each other element listed for one of its terms."""
+    c_e*X^e is D * q^T * g(p), zero iff g(p) is, homogeneous g or not.  A
+    term's values q^(T-|e|) * (q*p)^e are those of X0^(T-|e|) * X^e at the
+    vectors (q, q*p), one column of a table computed once per monomial, and
+    each point's sum is one sum of products with the D*c_e across g's
+    columns.  Autoreducedness lists, once per distinct term, the elements
+    whose leading exponent divides it; element i is reducible by each other
+    element listed for one of its terms."""
     elements = gb.elements
     mismatched = [a for a in (gb.arity, *(g.arity for g in elements)) if a != arity]
     if mismatched:
         return ["basis arity %d does not match ambient %d" % (mismatched[0], arity)]
     reasons = []
-    points = [cleared(p) for p in pointset.points]
-    col = _value_columns(arity, [v for v, _ in points])
+    # X0, before the first variable, takes each point's scale q
+    col = _value_columns(arity + 1, [[q, *v] for v, q in map(cleared, pointset.points)])
     leads = [None] * len(elements)  # None for a zero element
     for idx, g in enumerate(elements):
         if g.is_zero():
@@ -437,11 +455,9 @@ def _certify_core(gb, pointset, arity, homogeneous, count_reason):
         if lc != 1:
             reasons.append("element %d is not monic" % idx)
         top = g.total_degree()
-        sums = [0] * len(points)
-        for e, a in zip(g.terms, cleared(g.terms.values())[0]):
-            scaled = [a * q**k for _, q in points] if (k := top - total_degree(e)) else repeat(a)
-            sums = [x + c * y for x, c, y in zip(sums, scaled, col(e))]
-        bad = next((p for p, x in zip(pointset.points, sums) if x), None)
+        columns = [col((top - total_degree(e),) + e) for e in g.terms]
+        coeffs = cleared(g.terms.values())[0]
+        bad = next((p for p, row in zip(pointset.points, zip(*columns)) if sum(map(mul, coeffs, row))), None)
         if bad is not None:
             reasons.append("element %d does not vanish at %r" % (idx, [str(x) for x in bad]))
     terms = {e for g in elements for e in g.terms}
@@ -451,7 +467,7 @@ def _certify_core(gb, pointset, arity, homogeneous, count_reason):
             reasons.append("element %d is reducible by element %d" % (i, j))
     if reasons:
         return reasons
-    reason = count_reason(leads, col)
+    reason = count_reason(leads, lambda e: col((0,) + e))
     if reason is None:
         return []
     # not accepted: reduce every pair, so that the reasons name each failing one

@@ -14,10 +14,12 @@ the reference of the per-degree evaluation walk in any degree order.
 The term-order comparison, every monomial of a degree, monomial and
 polynomial evaluation over the rationals, per-degree standard counts,
 kernel-walk rows of fixed verdicts, a cone basis's degree offsets and a
-basis's relations are brute-force helpers that only the tests use.
+basis's relations are brute-force helpers that only the tests use, and
+large_sets names the large projective sets that CI times.
 """
 
 import heapq
+import random
 from fractions import Fraction
 from itertools import islice, product
 
@@ -69,6 +71,18 @@ def random_projective(rng, n, s):
             lead = next(x for x in row if x)
             pts.add(tuple(x / lead for x in row))
     return projective_points(n, [list(p) for p in sorted(pts)])
+
+
+def large_sets():
+    """The projective sets, by name, at the sizes the north star names and
+    the benchmark does not run: P^2 with 40 points (seeds 3 and 7), P^3 with
+    25 (seed 1) and P^4 with 20 (seed 2), each random_projective on
+    random.Random(seed), and the P^1 chain of 50 points, (1 : i/7) for
+    i < 49 and (0 : 1)."""
+    sets = {"P%d, %d points, seed %d" % (n, s, seed): random_projective(random.Random(seed), n, s)
+            for n, s, seed in ((2, 40, 3), (2, 40, 7), (3, 25, 1), (4, 20, 2))}
+    sets["P1 chain, 50 points"] = projective_points(1, [[1, Fraction(i, 7)] for i in range(49)] + [[0, 1]])
+    return sets
 
 
 PRIMES_TO_113 = [p for p in range(2, 114) if all(p % q for q in range(2, p))]

@@ -263,6 +263,33 @@ def test_negative_degree_cap_exits_2(write, capsys, command):
     assert err.count("\n") == 1 and "degree-cap" in err
 
 
+
+@pytest.mark.parametrize("command", ["staircase", "hilbert", "gb"])
+def test_degree_cap_above_the_limit_exits_2_before_any_work(write, capsys, monkeypatch, command):
+    # (cap + 1) * s above the limit is refused once the points are read,
+    # before a basis or a Hilbert value is computed
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "hilbert_values", refuse)
+    monkeypatch.setattr(cli, "projective_gb", refuse)
+    points = write("p.json", P1_THREE)
+    cap = cli.DEGREE_CAP_LIMIT // 3  # (cap + 1) * 3 is just above the limit
+    code, out, err = run(capsys, command, points, "--degree-cap", str(cap))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and "--degree-cap" in err
+
+
+def test_degree_cap_at_the_limit_runs(write, capsys):
+    # one point: (cap + 1) * 1 values, allowed up to the limit itself
+    points = write("p.json", {"space": "projective", "dim": 1, "points": [["1", "0"]]})
+    code, out, _ = run(capsys, "hilbert", points, "--degree-cap", str(cli.DEGREE_CAP_LIMIT - 1))
+    assert code == EXIT_OK
+    assert json.loads(out)["values"] == [1] * cli.DEGREE_CAP_LIMIT
+    code, out, _ = run(capsys, "hilbert", points, "--degree-cap", str(cli.DEGREE_CAP_LIMIT))
+    assert code == EXIT_INPUT and out == ""
+
 def test_module_runs_as_a_process(write, capsys):
     # `python -m pointideals.cli` is the same program as the console script
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

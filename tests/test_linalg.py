@@ -206,3 +206,26 @@ def test_kernel_matches_reference_echelon(length, data):
             ints, q = dependency
             assert q > 0 and gcd(q, *ints) == 1
         assert ech.rank == ref.rank
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_results_do_not_depend_on_column_order(length, data):
+    # the chart levels lay out a degree's columns in an order of their own
+    # (those at infinity as first seen), so one column permutation applied
+    # to every row must leave each add's None or (ints, den) unchanged
+    perm = data.draw(st.permutations(range(length)))
+    entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**12), 10**12))
+    ech, permuted = Echelon(), Echelon()
+    drawn = []
+    for _ in range(data.draw(st.integers(1, 10))):
+        if drawn and data.draw(st.booleans()):
+            # an int combination of earlier rows, so a dependent one
+            coeffs = data.draw(st.lists(entries, min_size=len(drawn), max_size=len(drawn)))
+            row = [sum(c * v[i] for c, v in zip(coeffs, drawn)) for i in range(length)]
+        else:
+            row = data.draw(st.lists(entries, min_size=length, max_size=length))
+        drawn.append(row)
+        den = data.draw(st.sampled_from([1, 1, 2, 7, 10**9]))
+        assert ech.add(row, den) == permuted.add([row[i] for i in perm], den)
+    assert ech.rank == permuted.rank

@@ -16,6 +16,7 @@ from helpers import (
     buchberger,
     cone_offsets,
     evaluate,
+    large_sets,
     monomial_value,
     monomials_of_degree,
     prime_height_rows,
@@ -53,7 +54,7 @@ from pointideals import (
     staircase_of,
     unit_basis,
 )
-from pointideals import affine, projective
+from pointideals import affine, io, projective
 from pointideals.affine import _basis
 from pointideals.linalg import Echelon
 from pointideals.poly import LEX, exp_divides, normal_form, order_key, s_polynomial
@@ -497,6 +498,52 @@ def test_projective_gb_matches_bm_at_prime_heights():
         assert projective_gb(ps) == projective_bm(ps, DEGLEX)
 
 
+
+def _wide_domain_sets(rng):
+    """Seeded projective sets from domains the other tests leave out, as
+    (kind, point set): n = 4 and 5; heights up to 2^64; every point in one
+    chart other than the first, so that the last level's chart block has
+    width 0; every point at infinity."""
+
+    def coordinate(height):
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+    def points(n, s, first_zeros, height):
+        # each row: first_zeros() zeros, a 1, then coordinates up to height
+        rows = set()
+        while len(rows) < s:
+            k = first_zeros()
+            rows.add((Fraction(0),) * k + (Fraction(1),) + tuple(coordinate(height) for _ in range(n - k)))
+        return projective_points(n, [list(r) for r in sorted(rows)])
+
+    for n in (4, 5):
+        for s in (2, 5, 8):
+            yield "n = %d" % n, points(n, s, lambda: 0, 5)
+            yield "n = %d, spread" % n, points(n, s, lambda: rng.randint(0, n - 1), 5)
+    for n, s in ((1, 5), (2, 6), (3, 5), (4, 4)):
+        yield "height 2^64", points(n, s, lambda: 0, 2**64)
+        yield "height 2^64, spread", points(n, s, lambda: rng.randint(0, n - 1), 2**64)
+    # all in chart k + 1; chart n + 1 holds one point
+    for n, k, s in ((2, 1, 4), (3, 1, 5), (3, 2, 3), (3, 3, 1), (4, 1, 4), (4, 2, 4), (4, 3, 2)):
+        yield "one chart", points(n, s, lambda: k, 5)
+    for n, s in ((2, 3), (3, 5), (4, 6), (5, 5)):
+        yield "at infinity", points(n, s, lambda: rng.randint(1, n), 5)
+
+
+def test_wide_domains_match_bm():
+    # the chart recursion's basis document, byte for byte, is the
+    # evaluation walk's, and its axes split like the charts
+    kinds = set()
+    for seed in range(6):
+        for kind, ps in _wide_domain_sets(random.Random(seed)):
+            kinds.add(kind)
+            gb = projective_gb(ps)
+            assert io.dumps(io.basis_doc(gb)) == io.dumps(io.basis_doc(projective_bm(ps, DEGLEX))), kind
+            census = axis_census(_stair(gb, ps.dimension + 1))
+            assert list(census.per_direction) == [len(c.points) for c in split_charts(ps)], kind
+            assert census.total == len(ps.points), kind
+    assert len(kinds) == 8
+
 def test_three_points_in_p1():
     gb = projective_gb(projective_points(1, P1_THREE))
     assert [poly_str(g) for g in gb.elements] == ["X1*X2^2 - X1^2*X2"]
@@ -877,6 +924,14 @@ def test_projective_gb_at_the_north_star_size():
     assert census.total == 25
     assert list(census.per_direction) == [len(c.points) for c in split_charts(ps)]
 
+
+
+def test_large_sets_have_their_stated_shapes():
+    # the sets CI times, one projective_gb each: dimension and point count
+    # as named, and the chain's 49 affine points and one at infinity
+    sets = large_sets()
+    assert [(ps.dimension, len(ps.points)) for ps in sets.values()] == [(2, 40), (2, 40), (3, 25), (4, 20), (1, 50)]
+    assert [len(c.points) for c in split_charts(sets["P1 chain, 50 points"])] == [49, 1]
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10 ** 6))
