@@ -36,23 +36,23 @@ class PointSet:
 
     For affine mode each point has `dimension` coordinates; for projective
     mode each point has dimension+1 homogeneous coordinates normalized so
-    that the first nonzero one equals 1.
+    that the first nonzero one equals 1.  The points are distinct, as the
+    Hilbert function's bound in projective._kernel_walk needs: a duplicate,
+    or a projective point not so normalized, raises ValueError.
     """
 
     mode: str
     dimension: int
     points: tuple
 
-
-def _check_duplicates(points, label):
-    seen = {}
-    for i, p in enumerate(points):
-        if p in seen:
-            raise ValueError(
-                "duplicate %s point at indices %d and %d: %r"
-                % (label, seen[p], i, [str(x) for x in p])
-            )
-        seen[p] = i
+    def __post_init__(self):
+        seen = {}
+        for i, p in enumerate(self.points):
+            if self.mode == PROJECTIVE and next((x for x in p if x), None) != 1:
+                raise ValueError("projective point %r: first nonzero coordinate is not 1" % [str(x) for x in p])
+            if seen.setdefault(p, i) != i:
+                where = (self.mode, seen[p], i, [str(x) for x in p])
+                raise ValueError("duplicate %s point at indices %d and %d: %r" % where)
 
 
 def affine_points(dimension, coords):
@@ -63,7 +63,6 @@ def affine_points(dimension, coords):
         if len(row) != dimension:
             raise ValueError("affine point %r has %d coordinates, expected %d" % (row, len(row), dimension))
         pts.append(row)
-    _check_duplicates(pts, "affine")
     return PointSet(AFFINE, dimension, tuple(pts))
 
 
@@ -82,7 +81,6 @@ def projective_points(dimension, coords):
         if lead is None:
             raise ValueError("zero vector is not a projective point")
         pts.append(tuple(x / lead for x in row))
-    _check_duplicates(pts, "projective")
     return PointSet(PROJECTIVE, dimension, tuple(pts))
 
 

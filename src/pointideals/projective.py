@@ -3,27 +3,24 @@
 A projective point set is split into charts by the index of the first
 nonzero coordinate, and its basis is built chart by chart from the last:
 each level of the recursion adds one chart's points to those found so far,
-which lie on the level's hyperplane at infinity {X1 = 0} (_level).  A form
-vanishes on both parts iff its restriction F(0, x) lies in the ideal of the
-part at infinity and F(1, x) in the chart's affine ideal, so the level's
-ideal is, degree by degree, the kernel of the map to the two normal forms,
-modulo the basis at infinity and the chart's lex basis, taken by
-multiplication from a memo (_normal_forms), not by division.  The chart's
-affine ideal comes as Buchberger-Moeller's int relations, the format the
-levels hand on, and a part with no points is the unit ideal: the first
-level's part at infinity, and the part at infinity of the cone over a
-chart (cone_basis).  Fed evaluation vectors at the points, the same
-per-degree kernel gives the deglex or degrevlex basis directly
-(projective_bm).  The kernel walks degree by degree over the standard
-monomials of the corners found so far (_kernel_walk), by the staircase's
-border rule (_next_standard), never dividing.
-Every basis these engines return is certified independently: a basis whose
-elements vanish (int sums by monomial columns, at the points' integer
-vectors) and whose staircase counts match the Hilbert function (the same
-kernel walk on evaluation vectors, started from the basis's leading
-exponents, finds no element) is accepted without S-pairs; any other basis
-is rejected, and only then are its S-pairs reduced, so that the reasons
-name each failing check.
+which lie on the level's hyperplane at infinity {X1 = 0} (_level), as a
+kernel, degree by degree, on normal forms by multiplication (_normal_forms),
+not by division.  The chart's affine ideal comes as Buchberger-Moeller's
+int relations, the format the levels hand on, and a part with no points is
+the unit ideal: the first level's part at infinity, and the part at
+infinity of the cone over a chart (cone_basis).  Fed evaluation vectors at
+the points, the same per-degree kernel gives the deglex or degrevlex basis
+directly (projective_bm).  The kernel walks degree by degree over the
+standard monomials of the corners found so far (_kernel_walk), by the
+staircase's border rule (_next_standard), never dividing, and ranks only a
+degree with more candidates than min(s, H(d-1) + 1), a lower bound of the
+Hilbert function H of s distinct points.
+Every basis these engines return is certified independently (certify): a
+basis whose elements vanish and whose staircase counts match the Hilbert
+function, by the same kernel walk on evaluation vectors from the basis's
+leading exponents, is accepted without S-pairs; any other basis is
+rejected, and only then are its S-pairs reduced, so that the reasons name
+each failing check.
 """
 
 from __future__ import annotations
@@ -111,9 +108,12 @@ def _kernel_walk(arity, order, s, rows, leads):
     - Every standard monomial is a candidate, so the walk's counts are the
       standard counts of in(I), that is the Hilbert function H of the
       quotient by I.
-    - Full-degree rule: H never decreases and never exceeds s, so once a
-      degree has s standard monomials, a later degree with exactly s
-      candidates is all standard, and rows is not called for it.
+    - Bound: H(d) >= min(s, H(d-1) + 1), H(-1) = 0, as the s points are
+      distinct.  A linear form l vanishing at none of them (Q is infinite)
+      is a nonzerodivisor modulo I, so H(d) - H(d-1) is the dimension of
+      R/(I, l) in degree d, which stays 0 once 0 (R/(I, l) is generated in
+      degree 1) and sums to s.  So a degree with no more candidates than
+      that is all standard: rows is not called for it.
     - Stop rule: the walk ends after a degree d whose count c equals that
       of d-1, with c <= d-1 and no lead beyond degree d-1.  Macaulay's
       bound c^<d-1> = c caps degree d's candidates at c, so no element was
@@ -123,13 +123,11 @@ def _kernel_walk(arity, order, s, rows, leads):
     sort = {"reverse": True} if order == DEGREVLEX else {"key": itemgetter(slice(None, None, -1))}
     leads = set(leads)
     top = max(map(sum, leads), default=0)  # the largest lead degree
-    standard = None  # the standard monomials of the previous degree
-    prev = None  # standard count of the previous degree
-    full = False  # some degree had s standard monomials
+    standard, prev = None, 0  # the previous degree's standard monomials and count
     for d in count():
         candidates = sorted(_next_standard(arity, leads, standard), **sort)
         standard, elements = candidates, []
-        if not full or len(candidates) != s:
+        if len(candidates) > min(s, prev + 1):
             ech = Echelon()
             standard = []
             for gamma, (vec, den) in zip(candidates, rows(candidates)):
@@ -143,7 +141,7 @@ def _kernel_walk(arity, order, s, rows, leads):
         c = len(standard)
         if c == prev and c <= d - 1 and top <= d - 1:
             return
-        prev, full = c, full or c == s
+        prev = c
 
 
 def _degree_kernel(arity, order, s, rows):
@@ -393,9 +391,11 @@ def hilbert_values(pointset):
 
     H(d) is the number of degree-d standard monomials of in(I), I the
     vanishing ideal: the count _kernel_walk yields on evaluation vectors.
-    H never decreases and never exceeds the point count s, so the walk stops
-    once H reaches s, and the last count repeats for ever (after a Gotzmann
-    stop it persists as well), so that any degree can be read."""
+    H(d) >= min(s, H(d-1) + 1) for s distinct points, as H(d) - H(d-1) is
+    the dimension in degree d of R/(I, l), l a linear form vanishing at no
+    point, which stays 0 once 0 and sums to s (_kernel_walk); so H rises to
+    s, where the walk stops, and s repeats for ever, so that any degree can
+    be read."""
     if pointset.mode != PROJECTIVE:
         raise ValueError("hilbert_values needs a projective point set")
     s = len(pointset.points)
@@ -497,8 +497,8 @@ def certify(gb, pointset):
       points' values (the vanishing check's column table): as the leads
       lead vanishing elements, its counts are H, and it ranks only J's
       standard monomials, with no element yielded iff they are
-      independent, that is iff H(d) = c_J(d).  Once c_J(d) = s, a degree
-      with s of them is not ranked (the walk's full-degree rule).
+      independent, that is iff H(d) = c_J(d).  A degree with no more of
+      them than the walk's bound min(s, H(d-1) + 1) <= H(d) is not ranked.
     - The walk stops after a degree d whose count c equals that of d-1,
       with c <= d-1 and no corner of J beyond degree d-1.  Macaulay's bound
       gives c^<d-1> = c, so by Gotzmann's persistence theorem J's count is c

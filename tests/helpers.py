@@ -14,8 +14,10 @@ the reference of the per-degree evaluation walk in any degree order.
 The term-order comparison, every monomial of a degree, monomial and
 polynomial evaluation over the rationals, per-degree standard counts,
 kernel-walk rows of fixed verdicts, a cone basis's degree offsets and a
-basis's relations are brute-force helpers that only the tests use, and
-large_sets names the large projective sets that CI times.
+basis's relations are brute-force helpers that only the tests use;
+p1_chain and line_points build the sets whose Hilbert function rises by
+exactly one per degree, and large_sets names the large projective sets
+that CI times.
 """
 
 import heapq
@@ -73,15 +75,29 @@ def random_projective(rng, n, s):
     return projective_points(n, [list(p) for p in sorted(pts)])
 
 
+def p1_chain(s, step=Fraction(1, 7)):
+    """The P^1 chain of s >= 1 points: (1 : i*step) for i < s - 1, and (0 : 1)."""
+    return projective_points(1, [[1, i * step] for i in range(s - 1)] + [[0, 1]])
+
+
+def line_points(n, s, c=1):
+    """s >= 1 points of P^n on the line through (1 : 0 : c : 2c : ...) and
+    (0 : 1 : ... : 1), which lies in no coordinate hyperplane: (1 : t : t + c
+    : ... : t + (n-1)c) for t < s - 1, and (0 : 1 : ... : 1)."""
+    rows = [[1, t, *(t + k * c for k in range(1, n))] for t in range(s - 1)]
+    return projective_points(n, rows + [[0] + [1] * n])
+
+
 def large_sets():
     """The projective sets, by name, at the sizes the north star names and
     the benchmark does not run: P^2 with 40 points (seeds 3 and 7), P^3 with
     25 (seed 1) and P^4 with 20 (seed 2), each random_projective on
-    random.Random(seed), and the P^1 chain of 50 points, (1 : i/7) for
-    i < 49 and (0 : 1)."""
+    random.Random(seed), and the P^1 chains of 50 and 100 points
+    (p1_chain)."""
     sets = {"P%d, %d points, seed %d" % (n, s, seed): random_projective(random.Random(seed), n, s)
             for n, s, seed in ((2, 40, 3), (2, 40, 7), (3, 25, 1), (4, 20, 2))}
-    sets["P1 chain, 50 points"] = projective_points(1, [[1, Fraction(i, 7)] for i in range(49)] + [[0, 1]])
+    for s in (50, 100):
+        sets["P1 chain, %d points" % s] = p1_chain(s)
     return sets
 
 
@@ -344,8 +360,9 @@ def unit_rows(found=()):
     """rows(candidates) for _kernel_walk that fix each candidate's verdict:
     the zero vector for one in `found`, which the walk then finds as a
     corner, and its own unit vector for any other, which is independent
-    and so standard.  Walked with an s that no degree's count reaches, the
-    walk then follows the staircase of its leads and the corners found."""
+    and so standard.  Walked with s = 0, for which the walk's bound
+    min(s, H(d-1) + 1) ranks every degree, the walk then follows the
+    staircase of its leads and the corners found."""
     def rows(candidates):
         n = len(candidates)
         return [([int(i == j and e not in found) for j in range(n)], 1) for i, e in enumerate(candidates)]

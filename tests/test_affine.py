@@ -18,8 +18,11 @@ from helpers import (
     standard_count,
 )
 from pointideals import (
+    AFFINE,
     DEGLEX,
     LEX,
+    PROJECTIVE,
+    PointSet,
     Polynomial,
     Staircase,
     affine_certify,
@@ -60,6 +63,27 @@ def test_projective_zero_vector_rejected():
 def test_projective_duplicates_detected_after_scaling():
     with pytest.raises(ValueError):
         projective_points(1, [[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize(
+    "mode, dimension, points, message",
+    [
+        (AFFINE, 1, ((1,), (2,), (1,)), "duplicate affine point at indices 0 and 2: ['1']"),
+        (PROJECTIVE, 1, ((1, 0), (1, 0)), "duplicate projective point at indices 0 and 1: ['1', '0']"),
+        # scaled duplicates: (2 : 4) is (1 : 2), but not normalized
+        (PROJECTIVE, 1, ((1, 2), (2, 4)), "projective point ['2', '4']: first nonzero coordinate is not 1"),
+        (PROJECTIVE, 2, ((0, 3, 1),), "projective point ['0', '3', '1']: first nonzero coordinate is not 1"),
+        (PROJECTIVE, 1, ((0, 0),), "projective point ['0', '0']: first nonzero coordinate is not 1"),
+    ],
+)
+def test_raw_point_sets_are_distinct_and_normalized(mode, dimension, points, message):
+    # PointSet itself rejects a duplicate and, in projective mode, a point
+    # whose first nonzero coordinate is not 1, which may be a scaled
+    # duplicate: the Hilbert function's bound that the kernel walk and the
+    # certificate rest on holds for distinct points only
+    with pytest.raises(ValueError) as err:
+        PointSet(mode, dimension, points)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

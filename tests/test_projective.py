@@ -3,6 +3,7 @@ certification."""
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from math import comb, gcd
@@ -17,8 +18,10 @@ from helpers import (
     cone_offsets,
     evaluate,
     large_sets,
+    line_points,
     monomial_value,
     monomials_of_degree,
+    p1_chain,
     prime_height_rows,
     random_affine,
     random_fraction,
@@ -69,7 +72,7 @@ from pointideals.projective import (
 
 P1_THREE = [[1, 0], [1, 1], [0, 1]]
 P2_COORD = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-NEVER_FULL = 10**9  # an s that no degree's standard count reaches
+RANK_ALL = 0  # an s that switches the walk's bound off: min(0, H(d-1) + 1) is 0
 
 
 def _stair(gb, arity):
@@ -208,9 +211,9 @@ def test_degree_kernel_rejects_wrong_point_count():
 
 
 def test_degree_kernel_skips_full_degrees(monkeypatch):
-    # once a degree has s standard monomials, a later degree with exactly s
-    # candidates is all standard: from the first such degree on, no vector
-    # is added, while the degrees between still add theirs (the walk is
+    # a degree is ranked, each of its candidates added, iff it has more
+    # candidates than min(s, H(d-1) + 1), which H(d) is at least: degree 0
+    # is not, nor a degree with s candidates after H reached s (the walk is
     # run on its own, as projective_bm's certificate walks again)
     walked, adds = [], []
 
@@ -233,9 +236,60 @@ def test_degree_kernel_skips_full_degrees(monkeypatch):
         walked.clear()
         adds.clear()
         _degree_kernel(3, order, 10, _evaluation_rows(ps))
-        skipped = next(d for d in range(first_full + 1, len(walked)) if walked[d] == 10)
-        assert first_full + 1 in adds
-        assert max(adds) < skipped
+        ranked = [d for d, c in enumerate(walked) if c > min(10, ([0] + hf)[d] + 1)]
+        assert Counter(adds) == {d: walked[d] for d in ranked}
+        assert 0 not in ranked and first_full in ranked
+        assert any(walked[d] == 10 for d in range(first_full + 1, len(walked)) if d not in ranked)
+
+
+# s points on a line, or of P^1, have H(d) = min(s, d + 1): the walk's bound
+# min(s, H(d-1) + 1) is met in every degree
+ON_A_LINE = {"P%d line, 7 points" % n: line_points(n, 7) for n in (2, 3, 4)}
+ON_A_LINE["P1 chain, 50 points"] = p1_chain(50)
+
+
+def _ranked_degrees(monkeypatch, run):
+    """run()'s result, and every _kernel_walk it ran, in order: the set of
+    degrees at which the walk added a row to an Echelon and the set of those
+    at which it found an element."""
+    walks = []
+
+    def walk(*args):
+        walks.append(([], set(), set()))
+        walked, _, found = walks[-1]
+        for d, standard, elements in _kernel_walk(*args):
+            walked.append(d)
+            if elements:
+                found.add(d)
+            yield d, standard, elements
+
+    class Counted(Echelon):
+        def add(self, row, den):
+            walked, ranked, _ = walks[-1]
+            ranked.add(len(walked))  # the degree being ranked, not yet yielded
+            return super().add(row, den)
+
+    monkeypatch.setattr(projective, "_kernel_walk", walk)
+    monkeypatch.setattr(projective, "Echelon", Counted)
+    result = run()
+    monkeypatch.undo()
+    return result, [(ranked, found) for _, ranked, found in walks]
+
+
+@pytest.mark.parametrize("name", list(ON_A_LINE))
+def test_walks_rank_only_corner_degrees_on_a_line(monkeypatch, name):
+    # every walk, of a chart level, of projective_bm or of a certificate,
+    # adds rows only at the degrees where it finds an element; a
+    # certificate, which finds none, adds no row at all
+    ps = ON_A_LINE[name]
+    s = len(ps.points)
+    assert list(islice(hilbert_values(ps), s + 2)) == [min(s, d + 1) for d in range(s + 2)]
+    gb, walks = _ranked_degrees(monkeypatch, lambda: projective_gb(ps))
+    assert all(ranked == found for ranked, found in walks)
+    bm, ((ranked, found), certified) = _ranked_degrees(monkeypatch, lambda: projective_bm(ps, DEGREVLEX))
+    assert ranked == found == {g.total_degree() for g in bm.elements}
+    assert certified == (set(), set())
+    assert _ranked_degrees(monkeypatch, lambda: certify(gb, ps))[1] == [(set(), set())]
 
 
 def _spread_over_charts(rng, n, s):
@@ -597,6 +651,8 @@ def test_hilbert_values_match_hilbert_function():
         ps = random_projective(rng, n, s) if rng.random() < 0.5 else _with_points_at_infinity(rng, n, s)
         expected = [reference_hilbert_function(ps, d) for d in range(s + 3)]
         assert list(islice(hilbert_values(ps), s + 3)) == expected
+        # the walk's bound: H(d) >= min(s, H(d-1) + 1), with H(-1) = 0
+        assert all(h >= min(s, prev + 1) for h, prev in zip(expected, [0] + expected))
         # at most one per point and one per monomial of the degree
         assert all(h <= min(s, comb(n + d, n)) for d, h in enumerate(expected))
 
@@ -792,14 +848,14 @@ def test_kernel_walk_does_not_stop_at_a_false_plateau():
     # J = (X1*X3^2, X1^3, X1*X2*X3) has standard counts 1, 3, 6, 7, 7, 8, 9:
     # equal at degrees 3 and 4, beyond every corner, but 7 > 3, so no stop
     leads = [(1, 0, 2), (3, 0, 0), (1, 1, 1)]
-    walked = islice(_kernel_walk(3, DEGLEX, NEVER_FULL, unit_rows(), leads), 7)
+    walked = islice(_kernel_walk(3, DEGLEX, RANK_ALL, unit_rows(), leads), 7)
     assert [len(std) for _, std, _ in walked] == [1, 3, 6, 7, 7, 8, 9]
 
 
 def test_kernel_walk_ends_after_a_corner_found_on_the_way():
     # X2^2 is found as a corner at degree 2: the counts are then 1, 2, 2, 2,
     # and the walk ends after degree 3, not with X2^2 counted
-    walked = islice(_kernel_walk(2, DEGLEX, NEVER_FULL, unit_rows({(0, 2)}), ()), 10)
+    walked = islice(_kernel_walk(2, DEGLEX, RANK_ALL, unit_rows({(0, 2)}), ()), 10)
     assert [(d, len(std), [e for e, _, _ in new]) for d, std, new in walked] == [
         (0, 1, []),
         (1, 2, []),
@@ -827,7 +883,7 @@ def test_kernel_walk_takes_leads_and_corners_found(seed):
     key = order_key(DEGLEX)
     corners = list(leads)
     degrees = 0
-    for d, standard, elements in islice(_kernel_walk(arity, DEGLEX, NEVER_FULL, rows, leads), 10):
+    for d, standard, elements in islice(_kernel_walk(arity, DEGLEX, RANK_ALL, rows, leads), 10):
         free = sorted((e for e in monomials_of_degree(arity, d) if not any(exp_divides(b, e) for b in corners)), key=key)
         found = [e for e, _, _ in elements]
         assert standard == [e for e in free if e not in found]
@@ -856,7 +912,7 @@ def test_kernel_walk_divides_nothing(monkeypatch):
         arity = rng.randint(1, 4)
         leads = [tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(rng.randint(1, 6))]
         rows = unit_rows(_found_at_random(rng, arity, range(12)))
-        walk = islice(_kernel_walk(arity, DEGLEX, NEVER_FULL, rows, leads), 12)
+        walk = islice(_kernel_walk(arity, DEGLEX, RANK_ALL, rows, leads), 12)
         walked += sum(len(std) + len(new) for _, std, new in walk)
     assert walked > 0
     assert calls == []
@@ -866,7 +922,7 @@ def test_kernel_walk_sorts_each_degree_by_order_key():
     # the within-degree sort keys run in C; on one degree they order as order_key
     for order in (DEGLEX, DEGREVLEX):
         for arity in range(1, 6):
-            walked = list(islice(_kernel_walk(arity, order, NEVER_FULL, unit_rows(), ()), 7))
+            walked = list(islice(_kernel_walk(arity, order, RANK_ALL, unit_rows(), ()), 7))
             # with no corners, a single variable's count 1 persists from degree 2 on
             assert [d for d, _, _ in walked] == list(range(3 if arity == 1 else 7))
             for d, standard, _ in walked:
@@ -889,7 +945,7 @@ def test_kernel_walk_matches_standard_count(seed):
         ]
     stair = Staircase(arity, tuple(leads))
     counts = []
-    for d, std, new in islice(_kernel_walk(arity, DEGLEX, NEVER_FULL, unit_rows(), leads), 12):
+    for d, std, new in islice(_kernel_walk(arity, DEGLEX, RANK_ALL, unit_rows(), leads), 12):
         assert new == []
         assert len(std) == standard_count(stair, d)
         assert std == sorted(std, key=order_key(DEGLEX))
@@ -927,11 +983,14 @@ def test_projective_gb_at_the_north_star_size():
 
 
 def test_large_sets_have_their_stated_shapes():
-    # the sets CI times, one projective_gb each: dimension and point count
-    # as named, and the chain's 49 affine points and one at infinity
+    # the sets CI times, one projective_gb and one projective_bm each:
+    # dimension and point count as named, and each chain's affine points
+    # and one at infinity
     sets = large_sets()
-    assert [(ps.dimension, len(ps.points)) for ps in sets.values()] == [(2, 40), (2, 40), (3, 25), (4, 20), (1, 50)]
-    assert [len(c.points) for c in split_charts(sets["P1 chain, 50 points"])] == [49, 1]
+    shapes = [(2, 40), (2, 40), (3, 25), (4, 20), (1, 50), (1, 100)]
+    assert [(ps.dimension, len(ps.points)) for ps in sets.values()] == shapes
+    for s in (50, 100):
+        assert [len(c.points) for c in split_charts(sets["P1 chain, %d points" % s])] == [s - 1, 1]
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10 ** 6))
@@ -1101,6 +1160,33 @@ def test_accepted_bases_reduce_no_s_pair(monkeypatch):
     assert {(i, j) for j in range(k) for i in range(j)} <= reduced
 
 
+def _other_on_a_line(ps):
+    """A set of ps's shape on another line, or chain."""
+    n, s = ps.dimension, len(ps.points)
+    return p1_chain(s, Fraction(1, 5)) if n == 1 else line_points(n, s, 2)
+
+
+@pytest.mark.parametrize("name", list(ON_A_LINE))
+def test_certify_on_a_line_matches_reference(name):
+    # the bound skips every rank of these certificates, so their verdicts
+    # rest on it: of the computed bases, two single-term mutations of each,
+    # every dropped-element basis and the bases against another line, only
+    # the computed bases pass, with the reference's reasons (against which
+    # the chain of 50 takes seconds per basis, so the chain of 20 stands in)
+    ps = ON_A_LINE[name]
+    rng = random.Random(2525)
+    for points in [ps] if ps.dimension > 1 else [ps, p1_chain(20)]:
+        for basis in (projective_gb(points), projective_bm(points, DEGREVLEX)):
+            for k, (gb, pts) in enumerate(_candidates(basis, points, _other_on_a_line(points), rng)):
+                report = certify(gb, pts)
+                assert report.passed == (k == 0)
+                if len(points.points) < 50:
+                    assert report == reference_certify(gb, pts)
+    if ps.dimension == 1:
+        zero = GroebnerBasis(DEGLEX, (), 2)
+        assert certify(zero, ps).reasons == ("degree 50: 51 standard monomials but Hilbert function 50",)
+
+
 # ---------------------------------------------------------------------------
 # the certificate's fast paths
 
@@ -1243,8 +1329,9 @@ def test_certify_names_the_hilbert_value_of_the_first_differing_degree():
 
 
 def test_certify_ranks_until_the_count_reaches_s(monkeypatch):
-    # one Echelon.add per standard monomial of J, up to the first degree
-    # with s of them; later degrees only compare their count with s
+    # one Echelon.add per standard monomial of J in each degree d with more
+    # of them than min(s, H(d-1) + 1), up to the first degree with s of
+    # them; the other degrees only compare their count with that bound
     adds = []
 
     class Counted(Echelon):
@@ -1263,7 +1350,8 @@ def test_certify_ranks_until_the_count_reaches_s(monkeypatch):
         adds.clear()
         assert certify(gb, ps).passed
         monkeypatch.undo()
-        assert len(adds) == sum(counts)
+        ranked = [c for c, prev in zip(counts, [0] + counts) if c > min(len(ps.points), prev + 1)]
+        assert len(adds) == sum(ranked) < sum(counts)
 
 
 def test_hilbert_values_build_no_polynomial(monkeypatch):
