@@ -37,8 +37,9 @@ class PointSet:
     For affine mode each point has `dimension` coordinates; for projective
     mode each point has dimension+1 homogeneous coordinates normalized so
     that the first nonzero one equals 1.  The points are distinct, as the
-    Hilbert function's bound in projective._kernel_walk needs: a duplicate,
-    or a projective point not so normalized, raises ValueError.
+    Hilbert function's bound in projective._kernel_walk needs: a point of
+    the wrong length, a duplicate, or a projective point not so normalized,
+    raises ValueError.
     """
 
     mode: str
@@ -48,6 +49,9 @@ class PointSet:
     def __post_init__(self):
         seen = {}
         for i, p in enumerate(self.points):
+            if len(p) != self.dimension + (self.mode == PROJECTIVE):
+                where = (self.mode, [str(x) for x in p], len(p), self.dimension)
+                raise ValueError("%s point %r has length %d in dimension %d" % where)
             if self.mode == PROJECTIVE and next((x for x in p if x), None) != 1:
                 raise ValueError("projective point %r: first nonzero coordinate is not 1" % [str(x) for x in p])
             if seen.setdefault(p, i) != i:
@@ -168,20 +172,23 @@ def _value_columns(arity, vectors):
 def _basis(arity, order, relations):
     """The GroebnerBasis, in `arity` variables, of the X^lead - NF(X^lead),
     NF(X^lead) = sum(c * X^e) / den, of relations (lead, den, {e: c}) in
-    increasing order of lead, as _bm_relations and the projective kernel
-    walks yield them: the one place where a basis's Polynomials are built."""
+    increasing order of lead, as buchberger_moeller and the projective
+    kernel walks make them: the one place where a basis's Polynomials are
+    built."""
     elements = [[(lead, 1)] + [(e, Fraction(-c, den)) for e, c in terms.items()] for lead, den, terms in relations]
     return GroebnerBasis(order, tuple(Polynomial(arity, terms) for terms in elements), arity)
 
 
-def _bm_relations(pointset, order):
-    """The reduced basis in `order` of the vanishing ideal of an affine point
-    set, as relations (lead, den, {standard exponent: int}) in increasing
-    order of lead, each NF(X^lead) in lowest terms, and the standard
-    monomials in increasing order, one per point.  The leads are the
-    staircase's corners.  An empty set yields the unit relation
-    (origin, 1, {}): the origin's vector has no entries, so it depends on
-    nothing."""
+def buchberger_moeller(pointset, order):
+    """Reduced Groebner basis of the vanishing ideal of an affine point set.
+
+    Returns (basis, staircase, standard monomials in increasing order).
+    The number of standard monomials equals the number of points.  The
+    basis comes from int relations (_basis), whose leads are the corners;
+    an empty set's origin has an empty vector, which depends on nothing.
+    """
+    if pointset.mode != AFFINE:
+        raise ValueError("buchberger_moeller needs an affine point set")
     n = pointset.dimension
     pts = pointset.points
     origin = (0,) * n
@@ -215,19 +222,6 @@ def _bm_relations(pointset, order):
                 pushes[ne] += 1
     if len(standard) != len(pts):
         raise ArithmeticError("standard monomial count must equal point count")
-    return relations, standard
-
-
-def buchberger_moeller(pointset, order):
-    """Reduced Groebner basis of the vanishing ideal of an affine point set.
-
-    Returns (basis, staircase, standard monomials in increasing order).
-    The number of standard monomials equals the number of points.
-    """
-    if pointset.mode != AFFINE:
-        raise ValueError("buchberger_moeller needs an affine point set")
-    n = pointset.dimension
-    relations, standard = _bm_relations(pointset, order)
     # leads come in increasing order, so only the corners are sorted, as by staircase_of
     corners = tuple(sorted(lead for lead, _, _ in relations))
     return _basis(n, order, relations), Staircase(n, corners), standard

@@ -4,17 +4,18 @@ A projective point set is split into charts by the index of the first
 nonzero coordinate, and its basis is built chart by chart from the last:
 each level of the recursion adds one chart's points to those found so far,
 which lie on the level's hyperplane at infinity {X1 = 0} (_level), as a
-kernel, degree by degree, on normal forms by multiplication (_normal_forms),
-not by division.  The chart's affine ideal comes as Buchberger-Moeller's
-int relations, the format the levels hand on, and a part with no points is
-the unit ideal: the first level's part at infinity, and the part at
-infinity of the cone over a chart (cone_basis).  Fed evaluation vectors at
-the points, the same per-degree kernel gives the deglex or degrevlex basis
-directly (projective_bm).  The kernel walks degree by degree over the
-standard monomials of the corners found so far (_kernel_walk), by the
-staircase's border rule (_next_standard), never dividing, and ranks only a
-degree with more candidates than min(s, H(d-1) + 1), a lower bound of the
-Hilbert function H of s distinct points.
+kernel, degree by degree, on two sides: normal forms modulo the basis at
+infinity, by multiplication (_normal_forms), not by division, and values
+at the chart's points.  Each level hands its basis on as int relations,
+and a part with no points is the unit ideal: the first level's part at
+infinity, and the part at infinity of the cone over a chart (cone_basis).
+Fed evaluation vectors at all the points, the same per-degree kernel gives
+the deglex or degrevlex basis directly (projective_bm).  The kernel walks
+degree by degree over the standard monomials of the corners found so far
+(_kernel_walk), by the staircase's border rule (_next_standard), never
+dividing, and ranks only a degree with more candidates than
+min(s, H(d-1) + 1), a lower bound of the Hilbert function H of s distinct
+points.
 Every basis these engines return is certified independently (certify): a
 basis whose elements vanish and whose staircase counts match the Hilbert
 function, by the same kernel walk on evaluation vectors from the basis's
@@ -26,7 +27,6 @@ each failing check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import count, islice, product, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -36,7 +36,6 @@ from .affine import (
     PROJECTIVE,
     Staircase,
     _basis,
-    _bm_relations,
     _next_standard,
     _value_columns,
     affine_points,
@@ -45,7 +44,6 @@ from .linalg import Echelon, cleared
 from .poly import (
     DEGLEX,
     DEGREVLEX,
-    LEX,
     exp_divides,
     normal_form,
     s_polynomial,
@@ -150,8 +148,8 @@ def _degree_kernel(arity, order, s, rows):
     walk's elements in increasing order (_basis makes them a
     GroebnerBasis).
 
-    Its callers are _level, on normal forms by multiplication
-    (_normal_forms), and projective_bm, on evaluation vectors.  The errors
+    Its callers are _level, on normal forms at infinity and values on the
+    chart, and projective_bm, on evaluation vectors.  The errors
     name the chart level, as only a level fed an inconsistent s or basis
     at infinity reaches them: the counts of s distinct points reach s, and
     the walk stops by degree s + 1."""
@@ -171,9 +169,10 @@ def _degree_kernel(arity, order, s, rows):
 
 def _normal_forms(relations):
     """nf(e): the normal form of X^e modulo the reduced, monic basis with
-    these relations (as _kernel_walk and _bm_relations yield them), as
+    these relations (as _kernel_walk yields them), as
     (den, {standard exponent: int}) in lowest terms, memoised for the life
-    of nf.  Modulo the unit ideal, every normal form is zero.
+    of nf: _level's side at infinity.  Modulo the unit ideal, every normal
+    form is zero.
 
     A standard e is its own normal form, and a leading exponent's is its
     relation's, which is standard as the basis is reduced.  Any other e
@@ -231,52 +230,41 @@ def _level(arity, s, infinite, chart):
     s points of one level of the chart recursion, in `arity` variables with
     X1 first: those on the hyperplane {X1 = 0}, whose ideal in the other
     variables has the reduced deglex basis with relations `infinite`, and
-    those of the affine chart {X1 = 1}, `chart`.  No points on either part
-    is the unit ideal, whose one relation (origin, 1, {}) makes every
-    normal form zero, so an empty part needs no branch.
+    those of the affine chart {X1 = 1}, `chart`.  No points at infinity is
+    the unit ideal, whose one relation (origin, 1, {}) makes every normal
+    form zero, and no points on the chart is no values, so an empty part
+    needs no branch.
 
     A form F vanishes at a point (0, p) iff F(0, x) does at p, and at a
-    point (1, p) iff F(1, x) does.  So F lies in the ideal iff F(0, x) lies
-    in the ideal of the part at infinity and F(1, x) in the chart's affine
-    ideal I, that is iff both normal forms vanish: NF(F(0, x)) modulo
-    `infinite` and NF(F(1, x)) modulo the lex basis of I, whose relations
-    Buchberger-Moeller yields (_bm_relations).  The degree-d part of the
-    ideal is the kernel of that map, walked by _degree_kernel on the two
-    sides' int normal forms over the lcm of their denominators, each side's
-    from one memo (_normal_forms) for the whole walk.  X^gamma restricts to
-    x^gamma[1:] on the chart, and at infinity to x^gamma[1:] if gamma[0] is
-    0 and to zero otherwise.  A row's columns are the degree's exponents at
-    infinity, first seen first, then the chart's lex standard monomials, on
-    which each x^m's chart row is laid once per level: a candidate X1
-    divides takes it as it is, any other scaled to the lcm (the kernel's
-    results do not depend on the column order).  The ideal of a part that
-    is all of its space (a point of P^0 or A^0) is zero, and _normal_forms
-    of its empty basis is the identity: there, F restricted to it is in the
-    ideal iff it is zero."""
+    point (1, p) iff F(1, x) does.  So F lies in the ideal iff NF(F(0, x))
+    modulo `infinite` is zero and F vanishes at every (1, p).  The degree-d
+    part of the ideal is the kernel of that map, walked by _degree_kernel.
+    X^gamma restricts at infinity to x^gamma[1:] if gamma[0] is 0 and to
+    zero otherwise, whose int normal form comes from one memo
+    (_normal_forms) for the whole walk; a row's first columns are the
+    degree's exponents at infinity, first seen first (the kernel's results
+    do not depend on the column order).  Its last columns are X^gamma's
+    values at the chart's points, each (1, p) taken at its integer vector
+    (q, q*p) (cleared), from one table (_value_columns) per level: X^gamma
+    takes q^d times its value at (1, p) there, and scaling a point's entry
+    of every degree-d vector by q^d leaves every dependency unchanged, as
+    in _evaluation_rows.  The normal form's denominator multiplies the
+    values, and the row goes to the kernel over it.  The ideal of a part at
+    infinity that is all of its space (a point of P^0) is zero, and
+    _normal_forms of its empty basis is the identity: there, F(0, x) is in
+    the ideal iff it is zero."""
     at_infinity = _normal_forms(infinite)
-    relations, standard = _bm_relations(chart, LEX)
-    on_chart = _normal_forms(relations)
-
-    @cache
-    def chart_row(m):
-        den, terms = on_chart(m)
-        return den, [terms.get(e, 0) for e in standard]
+    values = _value_columns(arity, [[q, *v] for v, q in map(cleared, chart.points)])
 
     def rows(candidates):
         # at infinity, X1 * X^m restricts to 0
-        infinity = [None if gamma[0] else at_infinity(gamma[1:]) for gamma in candidates]
-        index = dict(zip({e: None for nf in infinity if nf for e in nf[1]}, count()))
-        for gamma, nf in zip(candidates, infinity):
-            den, row = chart_row(gamma[1:])
+        infinity = [(1, {}) if gamma[0] else at_infinity(gamma[1:]) for gamma in candidates]
+        index = dict(zip({e: None for _, terms in infinity for e in terms}, count()))
+        for gamma, (den, terms) in zip(candidates, infinity):
             vec = [0] * len(index)
-            if nf is not None:
-                d, terms = nf
-                scale = lcm(d, den)
-                for e, c in terms.items():
-                    vec[index[e]] = c * (scale // d)
-                if scale != den:
-                    row, den = [x * (scale // den) for x in row], scale
-            yield vec + row, den
+            for e, c in terms.items():
+                vec[index[e]] = c
+            yield vec + [den * v for v in values(gamma)], den
 
     return _degree_kernel(arity, DEGLEX, s, rows)
 

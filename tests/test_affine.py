@@ -74,13 +74,17 @@ def test_projective_duplicates_detected_after_scaling():
         (PROJECTIVE, 1, ((1, 2), (2, 4)), "projective point ['2', '4']: first nonzero coordinate is not 1"),
         (PROJECTIVE, 2, ((0, 3, 1),), "projective point ['0', '3', '1']: first nonzero coordinate is not 1"),
         (PROJECTIVE, 1, ((0, 0),), "projective point ['0', '0']: first nonzero coordinate is not 1"),
+        # a third coordinate, which certify would not read: it accepted the
+        # basis of {(1 : 0), (1 : 1)} for these points
+        (PROJECTIVE, 1, ((1, 0, 5), (1, 1, 7)), "projective point ['1', '0', '5'] has length 3 in dimension 1"),
+        (AFFINE, 2, ((1, 2), (3,)), "affine point ['3'] has length 1 in dimension 2"),
     ],
 )
 def test_raw_point_sets_are_distinct_and_normalized(mode, dimension, points, message):
-    # PointSet itself rejects a duplicate and, in projective mode, a point
-    # whose first nonzero coordinate is not 1, which may be a scaled
-    # duplicate: the Hilbert function's bound that the kernel walk and the
-    # certificate rest on holds for distinct points only
+    # PointSet itself rejects a point of the wrong length, a duplicate and,
+    # in projective mode, a point whose first nonzero coordinate is not 1,
+    # which may be a scaled duplicate: the Hilbert function's bound that the
+    # kernel walk and the certificate rest on holds for distinct points only
     with pytest.raises(ValueError) as err:
         PointSet(mode, dimension, points)
     assert str(err.value) == message

@@ -370,7 +370,8 @@ def test_kernel_is_fed_int_rows(monkeypatch):
         assert fed, name
         assert all(type(x) is int for row, _ in fed for x in row), name
         assert all(type(den) is int and den > 0 for _, den in fed), name
-        # affine points and chart normal forms carry denominators
+        # affine points and normal forms at infinity carry denominators; the
+        # chart values, like all evaluation vectors, are ints
         assert (max(den for _, den in fed) > 1) == (name in ("buchberger_moeller", "projective_gb")), name
 
 
@@ -436,8 +437,8 @@ def test_chart_recursion_divides_nothing(monkeypatch):
 
 
 def test_chart_recursion_builds_only_the_returned_polynomials(monkeypatch):
-    # every level, the chart's lex basis included, is handed on as int
-    # relations: a Polynomial is built for each returned element and no other
+    # every level is handed on as int relations, and no chart has a basis
+    # of its own: a Polynomial is built for each returned element and no other
     built = []
     init = Polynomial.__init__
 
@@ -538,8 +539,8 @@ def test_projective_bm_rejects_bad_input():
 
 def test_projective_gb_matches_bm_at_prime_heights():
     # coordinate denominators are distinct primes up to 113, generic and
-    # spread over the charts, so that each chart's lex basis and normal forms
-    # carry denominators as large as the primes allow
+    # spread over the charts, so that the chart values and the normal forms
+    # at infinity are as large as the primes allow
     rng = random.Random(113)
     for n, s, spread in ((2, 14, False), (2, 13, True), (3, 9, False), (3, 9, True)):
         rows = []
@@ -555,9 +556,11 @@ def test_projective_gb_matches_bm_at_prime_heights():
 
 def _wide_domain_sets(rng):
     """Seeded projective sets from domains the other tests leave out, as
-    (kind, point set): n = 4 and 5; heights up to 2^64; every point in one
-    chart other than the first, so that the last level's chart block has
-    width 0; every point at infinity."""
+    (kind, point set): n = 4 and 5, and P^4 with 12 and 14 points spread
+    over the charts; heights up to 2^128, where the chart values are
+    largest; every point in one chart other than the first, so that the
+    last level's chart block has width 0; every point at infinity, and all
+    but one, so that the top level's chart holds one point."""
 
     def coordinate(height):
         return Fraction(rng.randint(-height, height), rng.randint(1, height))
@@ -574,14 +577,21 @@ def _wide_domain_sets(rng):
         for s in (2, 5, 8):
             yield "n = %d" % n, points(n, s, lambda: 0, 5)
             yield "n = %d, spread" % n, points(n, s, lambda: rng.randint(0, n - 1), 5)
+    for s in (12, 14):
+        yield "n = 4, 12+ points, spread", points(4, s, lambda: rng.randint(0, 3), 5)
     for n, s in ((1, 5), (2, 6), (3, 5), (4, 4)):
         yield "height 2^64", points(n, s, lambda: 0, 2**64)
         yield "height 2^64, spread", points(n, s, lambda: rng.randint(0, n - 1), 2**64)
+    for n, s in ((2, 8), (3, 7)):
+        yield "height 2^128, spread", points(n, s, lambda: rng.randint(0, n - 1), 2**128)
     # all in chart k + 1; chart n + 1 holds one point
     for n, k, s in ((2, 1, 4), (3, 1, 5), (3, 2, 3), (3, 3, 1), (4, 1, 4), (4, 2, 4), (4, 3, 2)):
         yield "one chart", points(n, s, lambda: k, 5)
     for n, s in ((2, 3), (3, 5), (4, 6), (5, 5)):
         yield "at infinity", points(n, s, lambda: rng.randint(1, n), 5)
+    for n, s in ((2, 6), (3, 7), (4, 8)):
+        rows = [list(p) for p in points(n, s - 1, lambda: rng.randint(1, n), 5).points]
+        yield "all but one at infinity", projective_points(n, rows + [[1] + [coordinate(5) for _ in range(n)]])
 
 
 def test_wide_domains_match_bm():
@@ -596,7 +606,7 @@ def test_wide_domains_match_bm():
             census = axis_census(_stair(gb, ps.dimension + 1))
             assert list(census.per_direction) == [len(c.points) for c in split_charts(ps)], kind
             assert census.total == len(ps.points), kind
-    assert len(kinds) == 8
+    assert len(kinds) == 11
 
 def test_three_points_in_p1():
     gb = projective_gb(projective_points(1, P1_THREE))
@@ -989,6 +999,10 @@ def test_large_sets_have_their_stated_shapes():
     sets = large_sets()
     shapes = [(2, 40), (2, 40), (3, 25), (4, 20), (1, 50), (1, 100)]
     assert [(ps.dimension, len(ps.points)) for ps in sets.values()] == shapes
+    # the chart recursion agrees with the evaluation walk where the chart
+    # values are largest
+    for name, ps in sets.items():
+        assert projective_gb(ps) == projective_bm(ps, DEGLEX), name
     for s in (50, 100):
         assert [len(c.points) for c in split_charts(sets["P1 chain, %d points" % s])] == [s - 1, 1]
 
