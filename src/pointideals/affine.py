@@ -10,8 +10,7 @@ standard monomial.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import prod
 from operator import mul
@@ -30,8 +29,7 @@ AFFINE = "affine"
 PROJECTIVE = "projective"
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(namedtuple("PointSet", "mode dimension points")):
     """A finite list of rational coordinate vectors, affine or projective.
 
     For affine mode each point has `dimension` coordinates; for projective
@@ -39,48 +37,44 @@ class PointSet:
     that the first nonzero one equals 1.  The points are distinct, as the
     Hilbert function's bound in projective._kernel_walk needs: a point of
     the wrong length, a duplicate, or a projective point not so normalized,
-    raises ValueError.
+    raises ValueError.  A named tuple, so immutable; every way to build one
+    checks its points: the call, _make, _replace (through _make) and
+    unpickling (through __new__).
     """
 
-    mode: str
-    dimension: int
-    points: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, mode, dimension, points):
         seen = {}
-        for i, p in enumerate(self.points):
-            if len(p) != self.dimension + (self.mode == PROJECTIVE):
-                where = (self.mode, [str(x) for x in p], len(p), self.dimension)
+        for i, p in enumerate(points):
+            if len(p) != dimension + (mode == PROJECTIVE):
+                where = (mode, [str(x) for x in p], len(p), dimension)
                 raise ValueError("%s point %r has length %d in dimension %d" % where)
-            if self.mode == PROJECTIVE and next((x for x in p if x), None) != 1:
+            if mode == PROJECTIVE and next((x for x in p if x), None) != 1:
                 raise ValueError("projective point %r: first nonzero coordinate is not 1" % [str(x) for x in p])
             if seen.setdefault(p, i) != i:
-                where = (self.mode, seen[p], i, [str(x) for x in p])
+                where = (mode, seen[p], i, [str(x) for x in p])
                 raise ValueError("duplicate %s point at indices %d and %d: %r" % where)
+        return super().__new__(cls, mode, dimension, points)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def affine_points(dimension, coords):
-    """Build a validated affine PointSet; duplicates are rejected."""
-    pts = []
-    for row in coords:
-        row = tuple(Fraction(x) for x in row)
-        if len(row) != dimension:
-            raise ValueError("affine point %r has %d coordinates, expected %d" % (row, len(row), dimension))
-        pts.append(row)
-    return PointSet(AFFINE, dimension, tuple(pts))
+    """Build a validated affine PointSet; PointSet rejects a point of the
+    wrong length and a duplicate."""
+    return PointSet(AFFINE, dimension, tuple(tuple(map(Fraction, row)) for row in coords))
 
 
 def projective_points(dimension, coords):
     """Build a projective PointSet, scaling each vector so its first nonzero
-    coordinate is 1; zero vectors and duplicates (after normalization) are
-    rejected."""
+    coordinate is 1; a zero vector is rejected here, and a point of the
+    wrong length or a duplicate (after normalization) by PointSet."""
     pts = []
     for row in coords:
-        row = tuple(Fraction(x) for x in row)
-        if len(row) != dimension + 1:
-            raise ValueError(
-                "projective point %r has %d coordinates, expected %d" % (row, len(row), dimension + 1)
-            )
+        row = tuple(map(Fraction, row))
         lead = next((x for x in row if x != 0), None)
         if lead is None:
             raise ValueError("zero vector is not a projective point")
@@ -88,16 +82,14 @@ def projective_points(dimension, coords):
     return PointSet(PROJECTIVE, dimension, tuple(pts))
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(namedtuple("Staircase", "arity corners")):
     """The monomial staircase of an ideal, given by its corner set.
 
     C is the union of the upward cones of the corners; D is the complement
     (the standard monomials).
     """
 
-    arity: int
-    corners: tuple
+    __slots__ = ()
 
     def contains(self, exp):
         """True iff exp lies in C."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 LEX = "lex"
@@ -266,10 +266,9 @@ def s_polynomial(f, g, order):
     return f.times(exp_sub(l, ef), Fraction(1) / cf) - g.times(exp_sub(l, eg), Fraction(1) / cg)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(namedtuple("GroebnerBasis", "order elements arity")):
     """A Groebner basis together with its term order and number of
-    variables.
+    variables, as an immutable named tuple.
 
     elements are monic and sorted by increasing leading exponent.  An empty
     element tuple denotes the zero ideal, which must be given its arity; a
@@ -277,15 +276,14 @@ class GroebnerBasis:
     defaults to the first element's.
     """
 
-    order: str
-    elements: tuple
-    arity: int = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.arity is None:
-            if not self.elements:
+    def __new__(cls, order, elements, arity=None):
+        if arity is None:
+            if not elements:
                 raise ValueError("a zero-ideal basis needs its arity")
-            object.__setattr__(self, "arity", self.elements[0].arity)
+            arity = elements[0].arity
+        return super().__new__(cls, order, elements, arity)
 
     def is_zero_ideal(self):
         return not self.elements

@@ -26,7 +26,7 @@ each failing check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count, islice, product, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -324,17 +324,13 @@ def projective_gb(pointset):
 # ---------------------------------------------------------------------------
 # axis census
 
-@dataclass(frozen=True)
-class AxisReport:
+class AxisReport(namedtuple("AxisReport", "arity axes per_direction total")):
     """All axes contained in the staircase complement D.
 
     axes holds (direction j, base) pairs with 1-based directions and
     base[j-1] == 0; per_direction counts them by j."""
 
-    arity: int
-    axes: tuple
-    per_direction: tuple
-    total: int
+    __slots__ = ()
 
 
 def axis_census(stair):
@@ -394,10 +390,7 @@ def hilbert_values(pointset):
     yield from repeat(len(standard))
 
 
-@dataclass(frozen=True)
-class CertReport:
-    passed: bool
-    reasons: tuple
+CertReport = namedtuple("CertReport", "passed reasons")
 
 
 def _certify_core(gb, pointset, arity, homogeneous, count_reason):

@@ -1,5 +1,6 @@
 """Tests for point sets, staircases and the evaluation-matrix basis builder."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,6 +23,9 @@ from pointideals import (
     DEGLEX,
     LEX,
     PROJECTIVE,
+    AxisReport,
+    CertReport,
+    GroebnerBasis,
     PointSet,
     Polynomial,
     Staircase,
@@ -78,16 +82,73 @@ def test_projective_duplicates_detected_after_scaling():
         # basis of {(1 : 0), (1 : 1)} for these points
         (PROJECTIVE, 1, ((1, 0, 5), (1, 1, 7)), "projective point ['1', '0', '5'] has length 3 in dimension 1"),
         (AFFINE, 2, ((1, 2), (3,)), "affine point ['3'] has length 1 in dimension 2"),
+        # a duplicate added to {(1 : 0), (1 : 1)}
+        (PROJECTIVE, 1, ((1, 0), (1, 1), (1, 0)), "duplicate projective point at indices 0 and 2: ['1', '0']"),
+        # valid points: every path builds the same set
+        (PROJECTIVE, 1, ((1, 0), (1, 1)), None),
     ],
 )
 def test_raw_point_sets_are_distinct_and_normalized(mode, dimension, points, message):
     # PointSet itself rejects a point of the wrong length, a duplicate and,
     # in projective mode, a point whose first nonzero coordinate is not 1,
     # which may be a scaled duplicate: the Hilbert function's bound that the
-    # kernel walk and the certificate rest on holds for distinct points only
-    with pytest.raises(ValueError) as err:
-        PointSet(mode, dimension, points)
-    assert str(err.value) == message
+    # kernel walk and the certificate rest on holds for distinct points only.
+    # Every path that builds one checks: the call, _make, _replace and
+    # unpickling; only tuple.__new__ skips the checks, to make a set to pickle
+    raw = tuple.__new__(PointSet, (mode, dimension, points))
+    paths = [
+        lambda: PointSet(mode, dimension, points),
+        lambda: PointSet._make(raw),
+        lambda: PointSet(mode, dimension, ())._replace(points=points),
+        lambda: pickle.loads(pickle.dumps(raw)),
+    ]
+    for build in paths:
+        if message is None:
+            assert build() == raw
+            continue
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_records_keep_their_contract():
+    # each record takes its fields by keyword or by position, prints them by
+    # name, equals and hashes like a record of equal fields and refuses
+    # assignment; GroebnerBasis takes its arity from its first element
+    x = Polynomial(1, {(1,): 1})
+    cases = [
+        (
+            PointSet,
+            dict(mode=AFFINE, dimension=1, points=((Fraction(1),),)),
+            "PointSet(mode='affine', dimension=1, points=((Fraction(1, 1),),))",
+        ),
+        (Staircase, dict(arity=1, corners=((1,),)), "Staircase(arity=1, corners=((1,),))"),
+        (
+            GroebnerBasis,
+            dict(order=DEGLEX, elements=(x,), arity=1),
+            "GroebnerBasis(order='deglex', elements=(Polynomial(1, [((1,), Fraction(1, 1))]),), arity=1)",
+        ),
+        (
+            AxisReport,
+            dict(arity=1, axes=((1, (0,)),), per_direction=(1,), total=1),
+            "AxisReport(arity=1, axes=((1, (0,)),), per_direction=(1,), total=1)",
+        ),
+        (CertReport, dict(passed=True, reasons=()), "CertReport(passed=True, reasons=())"),
+    ]
+    for cls, fields, text in cases:
+        record = cls(**fields)
+        assert repr(record) == text
+        twin = cls(*fields.values())
+        assert record == twin and hash(record) == hash(twin)
+        for name, value in fields.items():
+            assert getattr(record, name) == value
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+    assert PointSet(AFFINE, 1, ()) != PointSet(AFFINE, 2, ())
+    assert GroebnerBasis(DEGLEX, (x,)).arity == 1
+    assert GroebnerBasis(order=DEGLEX, elements=(), arity=3).arity == 3
+    with pytest.raises(ValueError):
+        GroebnerBasis(DEGLEX, ())
 
 
 # ---------------------------------------------------------------------------

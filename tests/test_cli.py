@@ -308,6 +308,16 @@ def test_module_runs_as_a_process(write, capsys):
     assert done.stderr.count("\n") == 1 and done.stderr.startswith("input error:")
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # the records are named tuples, so the CLI's start-up imports neither
+    # dataclasses nor, through it, inspect
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, pointideals.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "gb", str(tmp_path / "nope.json"))
     assert code == EXIT_INPUT

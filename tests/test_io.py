@@ -60,6 +60,7 @@ def test_parse_points_roundtrip():
         '{"space":"projective","dim":1,"points":[["1","2"],["2","4"]]}',
         '{"space":"affine","dim":1,"points":"nope"}',
         '{"space":"affine","dim":true,"points":[["1"]]}',
+        '{"space":"projective","dim":1,"points":[["1","2","3"]]}',
     ],
 )
 def test_parse_points_rejects_malformed(text):

@@ -596,7 +596,9 @@ def _wide_domain_sets(rng):
 
 def test_wide_domains_match_bm():
     # the chart recursion's basis document, byte for byte, is the
-    # evaluation walk's, and its axes split like the charts
+    # evaluation walk's, and its axes split like the charts; H, up to the
+    # first degree where it reaches s, is the reference's rank of every
+    # monomial of the degree, which shares no kernel walk code
     kinds = set()
     for seed in range(6):
         for kind, ps in _wide_domain_sets(random.Random(seed)):
@@ -606,6 +608,10 @@ def test_wide_domains_match_bm():
             census = axis_census(_stair(gb, ps.dimension + 1))
             assert list(census.per_direction) == [len(c.points) for c in split_charts(ps)], kind
             assert census.total == len(ps.points), kind
+            for d, h in enumerate(hilbert_values(ps)):
+                assert h == reference_hilbert_function(ps, d), (kind, d)
+                if h == len(ps.points):
+                    break
     assert len(kinds) == 11
 
 def test_three_points_in_p1():
