@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Subcommands: gb, staircase, axes, hilbert, verify, compare-orders, render.
-compare-orders takes its deglex basis from projective_gb and its degrevlex
-basis from the per-degree evaluation walk projective_bm.  Every basis a
-command computes is certified before it is used: projective_gb and
-projective_bm certify their own, and _compute_gb certifies
-Buchberger-Moeller's; --verify is accepted and does nothing.  verify
-certifies a basis document in its own order.
-Exit codes: 0 success, 1 verification failure, 2 input or parse error, 3 internal error.
+Subcommands gb, staircase, axes, hilbert, verify, compare-orders and render
+take an input file, --output json|text and only the options their cmd_*
+function reads; any other is a usage error.  compare-orders takes its deglex
+basis from projective_gb, its degrevlex basis from projective_bm.  Every basis
+a command computes is certified before use: projective_gb and projective_bm
+certify their own, _compute_gb Buchberger-Moeller's; gb's --verify is accepted
+and ignored.  verify certifies a basis document in its own order.
+Exit codes: 0 success, 1 verification failure, 2 input, parse or usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -193,39 +193,39 @@ def cmd_render(args, ps):
 
 def _build_parser():
     parser = argparse.ArgumentParser(
-        prog="pointideals",
-        description="Groebner bases of vanishing ideals of finite rational point sets",
+        prog="pointideals", description="Groebner bases of vanishing ideals of finite rational point sets"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, basis_arg=False):
+    options = {
+        "basis": {"help": "basis JSON file"},
+        "--order": {"choices": (LEX, DEGLEX), "default": DEGLEX},
+        "--verify": {"action": "store_true", "help": "accepted and ignored: every basis is certified"},
+        "--degree-cap": {"type": int},
+        "--render": {"action": "store_true"},
+    }
+    for name, func, reads in (
+        ("gb", cmd_gb, ("--order", "--verify")),
+        ("staircase", cmd_staircase, ("--order", "--degree-cap", "--render")),
+        ("axes", cmd_axes, ()),
+        ("hilbert", cmd_hilbert, ("--degree-cap",)),
+        ("verify", cmd_verify, ("basis",)),
+        ("compare-orders", cmd_compare_orders, ()),
+        ("render", cmd_render, ("--order",)),
+    ):
         p = sub.add_parser(name)
         p.add_argument("input", help="point-set JSON file")
-        if basis_arg:
-            p.add_argument("basis", help="basis JSON file")
-        p.add_argument("--order", choices=(LEX, DEGLEX, DEGREVLEX), default=DEGLEX)
+        for option in reads:
+            p.add_argument(option, **options[option])
         p.add_argument("--output", choices=("json", "text"), default="json")
-        p.add_argument("--verify", action="store_true")
-        p.add_argument("--degree-cap", type=int, default=None)
-        p.add_argument("--render", action="store_true")
-        p.set_defaults(func=func)
-
-    add("gb", cmd_gb)
-    add("staircase", cmd_staircase)
-    add("axes", cmd_axes)
-    add("hilbert", cmd_hilbert)
-    add("verify", cmd_verify, basis_arg=True)
-    add("compare-orders", cmd_compare_orders)
-    add("render", cmd_render)
+        p.set_defaults(func=func, degree_cap=None)  # main's cap guard reads it on every command
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.order == DEGREVLEX and args.command != "compare-orders":
-        print("degrevlex is permitted only for compare-orders", file=sys.stderr)
-        return EXIT_INPUT
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse has printed a usage error, or the help
+        return EXIT_INPUT if e.code else EXIT_OK
     if args.degree_cap is not None and args.degree_cap < 0:
         print("--degree-cap must be nonnegative, got %d" % args.degree_cap, file=sys.stderr)
         return EXIT_INPUT

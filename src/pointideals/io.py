@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .affine import AFFINE, PROJECTIVE, affine_points, projective_points
@@ -22,13 +23,24 @@ class InputError(ValueError):
     """Malformed or inconsistent user input."""
 
 
+def _convert(convert, x):
+    """convert(x) for json.loads or an int-string conversion, whose ValueErrors are input errors."""
+    try:
+        return convert(x)
+    except json.JSONDecodeError as e:
+        raise InputError("invalid JSON: %s" % e) from e
+    except ValueError:  # what is left is past the interpreter's limit on integer strings
+        raise InputError("a number has more than %d digits, the interpreter's limit for integer strings"
+                         % sys.get_int_max_str_digits()) from None
+
+
 def parse_rational(text):
     """Parse "p" or "p/q" into an exact Fraction."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise InputError("malformed rational %r (expected \"p\" or \"p/q\")" % (text,))
-    return Fraction(text)
+    return _convert(Fraction, text)
 
 
 def _is_natural(x):
@@ -37,17 +49,14 @@ def _is_natural(x):
 
 
 def _load_object(text, what):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError("invalid JSON: %s" % e) from e
+    doc = _convert(json.loads, text)
     if not isinstance(doc, dict):
         raise InputError("%s document must be a JSON object" % what)
     return doc
 
 
 def rational_str(q):
-    return str(Fraction(q))
+    return _convert(str, Fraction(q))
 
 
 def parse_points(text):
@@ -86,13 +95,10 @@ def basis_doc(gb, first_var=1, extra=None):
     """Serialize a Groebner basis: each element is a list of
     [exponent-vector, coefficient-string] pairs in decreasing order."""
     key = order_key(gb.order)
-    elements = []
-    for g in gb.elements:
-        terms = [
-            [list(e), rational_str(g.terms[e])]
-            for e in sorted(g.terms, key=key, reverse=True)
-        ]
-        elements.append(terms)
+    elements = [
+        [[list(e), rational_str(g.terms[e])] for e in sorted(g.terms, key=key, reverse=True)]
+        for g in gb.elements
+    ]
     doc = {
         "order": gb.order,
         "variables": gb.arity,

@@ -164,6 +164,11 @@ def test_staircase_membership_and_counts():
     assert standard_count(stair, 3) == 2
 
 
+def test_staircase_contains_rejects_another_arity():
+    with pytest.raises(ValueError, match=r"exponent \(1, 2, 0\) does not match arity 2"):
+        Staircase(2, ((1, 2),)).contains((1, 2, 0))
+
+
 def test_standard_monomials_finite_and_infinite():
     finite = Staircase(2, ((2, 0), (0, 2)))
     assert sorted(finite.standard_monomials()) == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -236,9 +236,10 @@ def test_render_rejects_high_arity(write, capsys):
 
 def test_degrevlex_only_for_compare_orders(write, capsys):
     points = write("p.json", P1_THREE)
-    code, _, err = run(capsys, "gb", points, "--order", "degrevlex")
+    code, out, err = run(capsys, "gb", points, "--order", "degrevlex")
     assert code == EXIT_INPUT
-    assert "compare-orders" in err
+    assert out == ""
+    assert "degrevlex" in err
 
 
 def test_projective_gb_requires_deglex(write, capsys):
@@ -264,7 +265,7 @@ def test_negative_degree_cap_exits_2(write, capsys, command):
 
 
 
-@pytest.mark.parametrize("command", ["staircase", "hilbert", "gb"])
+@pytest.mark.parametrize("command", ["staircase", "hilbert"])
 def test_degree_cap_above_the_limit_exits_2_before_any_work(write, capsys, monkeypatch, command):
     # (cap + 1) * s above the limit is refused once the points are read,
     # before a basis or a Hilbert value is computed
@@ -289,6 +290,93 @@ def test_degree_cap_at_the_limit_runs(write, capsys):
     assert json.loads(out)["values"] == [1] * cli.DEGREE_CAP_LIMIT
     code, out, _ = run(capsys, "hilbert", points, "--degree-cap", str(cli.DEGREE_CAP_LIMIT))
     assert code == EXIT_INPUT and out == ""
+
+
+def _refuse_work(monkeypatch):
+    """Make reading an input file and every engine the CLI calls raise."""
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    for name in ("_read", "projective_gb", "projective_bm", "buchberger_moeller", "hilbert_values",
+                 "_certified", "certify", "affine_certify", "staircase_of", "render_staircase"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+# every (command, option) pair that the parser accepted and ignored before
+# each command registered only the options it reads; the gb case is a cap
+# above DEGREE_CAP_LIMIT on 3 points, which gb never read
+UNREAD_OPTIONS = [
+    ("gb", ["--degree-cap", str(cli.DEGREE_CAP_LIMIT // 3)]),
+    ("gb", ["--render"]),
+    ("staircase", ["--verify"]),
+    ("axes", ["--order", "lex"]),
+    ("axes", ["--verify"]),
+    ("axes", ["--degree-cap", "3"]),
+    ("axes", ["--render"]),
+    ("hilbert", ["--order", "deglex"]),
+    ("hilbert", ["--verify"]),
+    ("hilbert", ["--render"]),
+    ("verify", ["--order", "deglex"]),
+    ("verify", ["--verify"]),
+    ("verify", ["--degree-cap", "3"]),
+    ("verify", ["--render"]),
+    ("compare-orders", ["--order", "degrevlex"]),
+    ("compare-orders", ["--verify"]),
+    ("compare-orders", ["--degree-cap", "3"]),
+    ("compare-orders", ["--render"]),
+    ("render", ["--verify"]),
+    ("render", ["--degree-cap", "3"]),
+    ("render", ["--render"]),
+]
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS, ids=[c + o[0] for c, o in UNREAD_OPTIONS])
+def test_unread_option_exits_2_before_any_work(write, capsys, monkeypatch, command, option):
+    _refuse_work(monkeypatch)
+    points = write("p.json", P1_THREE)
+    inputs = [points, write("b.json", {"order": "deglex", "variables": 2, "basis": []})] if command == "verify" else [points]
+    code, out, err = run(capsys, command, *inputs, *option)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert option[0] in err
+
+
+def test_main_returns_the_usage_exit_codes(write, capsys):
+    # argparse's own exits come back from main as codes: 2 for a usage
+    # error, with argparse's message, and 0 for --help
+    code, out, err = run(capsys, "gb", write("p.json", P1_THREE), "--output", "xml")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "argument --output: invalid choice: 'xml'" in err
+    assert run(capsys)[0] == EXIT_INPUT
+    for argv in (["--help"], ["gb", "--help"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("usage: pointideals")
+
+
+def _cli_process(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    cmd = [sys.executable, "-m", "pointideals.cli", *argv]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_rationals_past_the_digit_limit_exit_2(write, output):
+    # a coordinate past the interpreter's int-string limit, as a string or
+    # as a JSON integer, cannot be read, and a basis coefficient past it,
+    # here the product of two coordinates just over half the limit, cannot
+    # be printed; all are input errors that name the limit and not the number
+    limit = sys.get_int_max_str_digits()
+    long, half = "1" + "0" * limit, "0" * (limit // 2 + 350)
+    for points in ('[["%s"]]' % long, '[["1%s"], ["2%s"]]' % (half, half), "[[%s]]" % long):
+        doc = '{"space": "affine", "dim": 1, "points": %s}' % points
+        done = _cli_process("gb", write("p.json", doc), "--output", output)
+        assert done.returncode == EXIT_INPUT
+        assert done.stdout == ""
+        assert done.stderr == (
+            "input error: a number has more than %d digits, the interpreter's limit for integer strings\n" % limit
+        )
+
 
 def test_module_runs_as_a_process(write, capsys):
     # `python -m pointideals.cli` is the same program as the console script

@@ -164,6 +164,31 @@ def test_arithmetic_and_evaluation():
     assert evaluate(p, (Fraction(3), Fraction(2))) == 5
 
 
+X1 = Polynomial.variable(2, 0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: order_key("revlex"), ValueError, "unknown term order 'revlex'"),
+        (lambda: Polynomial(2, [((1,), 1)]), ValueError, r"exponent \(1,\) does not match arity 2"),
+        (lambda: Polynomial(2, [((1, -1), 1)]), ValueError, r"negative exponent in \(1, -1\)"),
+        (lambda: setattr(X1, "arity", 3), AttributeError, "Polynomial is immutable"),
+        (lambda: X1 + 1, TypeError, "unsupported operand"),
+        (lambda: X1 + Polynomial.variable(3, 0), ValueError, "arity mismatch: 2 vs 3"),
+        (lambda: X1 * None, TypeError, "unsupported operand"),
+        (lambda: X1 * Polynomial.variable(3, 0), ValueError, "arity mismatch: 2 vs 3"),
+        (lambda: Polynomial.zero(2).total_degree(), ValueError, "zero polynomial has no total degree"),
+        (lambda: s_polynomial(X1, Polynomial.zero(2), DEGLEX), ValueError, "S-polynomial of a zero polynomial"),
+    ],
+    ids=["order", "exponent-length", "negative-exponent", "assignment", "add-int", "add-arity",
+         "mul-none", "mul-arity", "zero-degree", "zero-s-polynomial"],
+)
+def test_invalid_arguments_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_leading_depends_on_order():
     p = Polynomial(2, [((0, 2), Fraction(1)), ((3, 0), Fraction(2))])
     assert p.leading(LEX)[0] == (0, 2)

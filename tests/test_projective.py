@@ -210,6 +210,18 @@ def test_degree_kernel_rejects_wrong_point_count():
         )
 
 
+def test_degree_kernel_fails_to_stabilize():
+    # unit rows keep every candidate standard, so the walk of s = 0 points
+    # never settles and the 4s + 8 guard stops it at degree 9
+    with pytest.raises(RuntimeError, match="chart level failed to stabilize by degree 9"):
+        _degree_kernel(2, DEGLEX, 0, unit_rows())
+
+
+def test_hilbert_function_rejects_negative_degree():
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        hilbert_function(projective_points(1, P1_THREE), -1)
+
+
 def test_degree_kernel_skips_full_degrees(monkeypatch):
     # a degree is ranked, each of its candidates added, iff it has more
     # candidates than min(s, H(d-1) + 1), which H(d) is at least: degree 0
