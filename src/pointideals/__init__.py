@@ -32,11 +32,9 @@ from .poly import (
 from .projective import (
     AxisReport,
     CertReport,
-    affine_certify,
-    cone_basis,
     axis_census,
     certify,
-    hilbert_function,
+    hilbert_values,
     projective_bm,
     projective_gb,
     split_charts,
@@ -66,13 +64,11 @@ __all__ = [
     "dehomogenize",
     "poly_str",
     "unit_basis",
-    "cone_basis",
     "projective_bm",
     "projective_gb",
     "split_charts",
     "axis_census",
-    "hilbert_function",
+    "hilbert_values",
     "certify",
-    "affine_certify",
     "render_staircase",
 ]

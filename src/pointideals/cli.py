@@ -6,7 +6,8 @@ function reads; any other is a usage error.  compare-orders takes its deglex
 basis from projective_gb, its degrevlex basis from projective_bm.  Every basis
 a command computes is certified before use: projective_gb and projective_bm
 certify their own, _compute_gb Buchberger-Moeller's; gb's --verify is accepted
-and ignored.  verify certifies a basis document in its own order.
+and ignored.  verify certifies a basis document in its own order with the
+same certify, which reads the mode from the point set.
 Exit codes: 0 success, 1 verification failure, 2 input, parse or usage error, 3 internal error.
 """
 
@@ -21,7 +22,6 @@ from .affine import AFFINE, PROJECTIVE, buchberger_moeller, staircase_of
 from .poly import DEGLEX, DEGREVLEX, LEX, Polynomial, poly_str
 from .projective import (
     _certified,
-    affine_certify,
     axis_census,
     certify,
     hilbert_values,
@@ -146,7 +146,7 @@ def cmd_hilbert(args, ps):
 
 def cmd_verify(args, ps):
     gb, _ = io.parse_basis(_read(args.basis))
-    report = (affine_certify if ps.mode == AFFINE else certify)(gb, ps)
+    report = certify(gb, ps)
     doc = {"passed": report.passed, "reasons": list(report.reasons)}
     lines = ["passed: %s" % ("true" if report.passed else "false")]
     lines.extend("  " + r for r in report.reasons)

@@ -24,11 +24,14 @@ class InputError(ValueError):
 
 
 def _convert(convert, x):
-    """convert(x) for json.loads or an int-string conversion, whose ValueErrors are input errors."""
+    """convert(x) for json.loads or an int-string conversion, whose ValueErrors, and
+    json.loads' RecursionError on deeply nested input, are input errors."""
     try:
         return convert(x)
     except json.JSONDecodeError as e:
         raise InputError("invalid JSON: %s" % e) from e
+    except RecursionError as e:
+        raise InputError("invalid JSON: %s" % e) from None
     except ValueError:  # what is left is past the interpreter's limit on integer strings
         raise InputError("a number has more than %d digits, the interpreter's limit for integer strings"
                          % sys.get_int_max_str_digits()) from None
@@ -76,11 +79,15 @@ def parse_points(text):
         raise InputError("points must be a list of coordinate lists")
     coords = [[parse_rational(x) for x in row] for row in rows]
     try:
-        if space == AFFINE:
-            return affine_points(dim, coords)
-        return projective_points(dim, coords)
+        pointset = (affine_points if space == AFFINE else projective_points)(dim, coords)
     except ValueError as e:
         raise InputError(str(e)) from e
+    # normalising a projective point can give a coordinate twice the digits of
+    # the input's, which no output or reason could then print
+    for p in pointset.points:
+        for x in p:
+            rational_str(x)
+    return pointset
 
 
 def points_doc(pointset):

@@ -7,8 +7,8 @@ which lie on the level's hyperplane at infinity {X1 = 0} (_level), as a
 kernel, degree by degree, on two sides: normal forms modulo the basis at
 infinity, by multiplication (_normal_forms), not by division, and values
 at the chart's points.  Each level hands its basis on as int relations,
-and a part with no points is the unit ideal: the first level's part at
-infinity, and the part at infinity of the cone over a chart (cone_basis).
+and a part with no points is the unit ideal, as the first level's part at
+infinity is.
 Fed evaluation vectors at all the points, the same per-degree kernel gives
 the deglex or degrevlex basis directly (projective_bm).  The kernel walks
 degree by degree over the standard monomials of the corners found so far
@@ -16,7 +16,8 @@ degree by degree over the standard monomials of the corners found so far
 dividing, and ranks only a degree with more candidates than
 min(s, H(d-1) + 1), a lower bound of the Hilbert function H of s distinct
 points.
-Every basis these engines return is certified independently (certify): a
+Every basis these engines return is certified independently (certify, which
+also certifies affine bases, reading the mode from the point set): a
 basis whose elements vanish and whose staircase counts match the Hilbert
 function, by the same kernel walk on evaluation vectors from the basis's
 leading exponents, is accepted without S-pairs; any other basis is
@@ -27,12 +28,11 @@ each failing check.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import count, islice, product, repeat
+from itertools import count, product, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .affine import (
-    AFFINE,
     PROJECTIVE,
     Staircase,
     _basis,
@@ -269,19 +269,6 @@ def _level(arity, s, infinite, chart):
     return _degree_kernel(arity, DEGLEX, s, rows)
 
 
-def cone_basis(chart):
-    """Reduced deglex basis of the ideal of the lines through the chart's
-    affine representatives, inside the ring with one extra (smallest)
-    variable X1: the level (_level) whose part at infinity is the unit
-    ideal."""
-    if chart.mode != AFFINE:
-        raise ValueError("cone_basis needs an affine chart")
-    if not chart.points:
-        raise ValueError("cone_basis needs a nonempty chart")
-    n = chart.dimension
-    return _basis(n + 1, DEGLEX, _level(n + 1, len(chart.points), [((0,) * n, 1, {})], chart))
-
-
 def projective_bm(pointset, order):
     """Certified reduced deglex or degrevlex basis of the vanishing ideal of
     a projective point set, by the projective Buchberger-Moeller walk.
@@ -360,16 +347,6 @@ def axis_census(stair):
 # ---------------------------------------------------------------------------
 # Hilbert function and certificate
 
-def hilbert_function(pointset, d):
-    """H(d) of the homogeneous coordinate ring: the d-th of hilbert_values,
-    walked afresh on each call (a loop over d should read hilbert_values)."""
-    if pointset.mode != PROJECTIVE:
-        raise ValueError("hilbert_function needs a projective point set")
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    return next(islice(hilbert_values(pointset), d, None))
-
-
 def hilbert_values(pointset):
     """Yield the Hilbert function H(d) at d = 0, 1, 2, ..., without end.
 
@@ -393,20 +370,50 @@ def hilbert_values(pointset):
 CertReport = namedtuple("CertReport", "passed reasons")
 
 
-def _certify_core(gb, pointset, arity, homogeneous, count_reason):
-    """Reasons from the checks certify and affine_certify share, in order,
-    each in gb's own order.
+def certify(gb, pointset):
+    """Certificate that gb is the reduced basis, in its order gb.order, of
+    the vanishing ideal I of the point set, in the point set's mode: of s
+    points of P^n, in n+1 variables, or of A^n, in n.
 
-    The arity check reads gb's own arity, which an empty basis carries
-    too, and each element's.  After it and the element, vanishing and
-    autoreducedness checks pass, count_reason(leads, col) compares the
-    leading exponents' staircase with the points (col(e): the values of X^e
-    at the points' integer vectors, from the vanishing check's table); it
-    returns None only when that proves gb to be the reduced basis, and then
-    no S-pair is reduced.  Otherwise every S-pair is reduced once: the
-    failing ones are the reasons, and the comparison's reason stands only
-    if every pair reduces to zero.  A zero element is reported and reduces
-    nothing.
+    Checks, each reason in gb's own order: gb's arity, which an empty basis
+    carries too, and each element's match the ambient ring's; every element
+    is nonzero, monic, homogeneous if projective, and vanishes at every
+    point; autoreducedness; and a count of the standard monomials of
+    J = <in(gb)> against the points.  A basis that passes them is proved the
+    reduced one with no S-pair reduced, as every element vanishes, so <gb>
+    lies in I and J in in(I); monic and autoreduced, it is then the reduced
+    basis iff J = in(I), which the count decides, in either mode:
+
+    - Affine: J has a finite staircase complement of s monomials.  So has
+      in(I), as the s points are distinct, and J lies in it: J = in(I).
+    - Projective: the standard-monomial counts c_J(d) equal the Hilbert
+      function H of I degree by degree, walked by _kernel_walk until its
+      stop rule holds.  c_J(d) >= H(d), with equality in every degree iff
+      J = in(I).  On homogeneous elements this uses only counts, so it
+      holds in any term order.
+      - The comparison is _kernel_walk on J's leading exponents and the
+        points' values (the vanishing check's column table): as the leads
+        lead vanishing elements, its counts are H, and it ranks only J's
+        standard monomials, with no element yielded iff they are
+        independent, that is iff H(d) = c_J(d).  A degree with no more of
+        them than the walk's bound min(s, H(d-1) + 1) <= H(d) is not ranked.
+      - The walk stops after a degree d whose count c equals that of d-1,
+        with c <= d-1 and no corner of J beyond degree d-1.  Macaulay's
+        bound gives c^<d-1> = c, so by Gotzmann's persistence theorem J's
+        count is c in every degree from d-1 on.  H never decreases, is at
+        most J's count, and equals c at d, so it is c from d on as well: the
+        counts agree in every degree.
+      - If the counts always agree, H stays at s from some degree on, and
+        the stop rule holds by degree max(s, max corner degree) + 1; so the
+        comparison ends, with a verdict, after finitely many degrees.  The
+        first degree d at which the walk yields an element is the first
+        that differs, and the walk's count there is H(d), which the reason
+        names.
+
+    A basis that fails is rejected, and only then is every S-pair reduced
+    once: the failing ones are the reasons, and the count's reason stands
+    only if every pair reduces to zero.  A zero element is reported and
+    reduces nothing.
 
     The vanishing check sums ints: for g of top degree T, D the lcm of its
     coefficients' denominators and (q*p, q) a point's integer vector and
@@ -418,10 +425,13 @@ def _certify_core(gb, pointset, arity, homogeneous, count_reason):
     columns.  Autoreducedness lists, once per distinct term, the elements
     whose leading exponent divides it; element i is reducible by each other
     element listed for one of its terms."""
+    projective = pointset.mode == PROJECTIVE
+    arity = pointset.dimension + 1 if projective else pointset.dimension
+    s = len(pointset.points)
     elements = gb.elements
     mismatched = [a for a in (gb.arity, *(g.arity for g in elements)) if a != arity]
     if mismatched:
-        return ["basis arity %d does not match ambient %d" % (mismatched[0], arity)]
+        return CertReport(False, ("basis arity %d does not match ambient %d" % (mismatched[0], arity),))
     reasons = []
     # X0, before the first variable, takes each point's scale q
     col = _value_columns(arity + 1, [[q, *v] for v, q in map(cleared, pointset.points)])
@@ -430,7 +440,7 @@ def _certify_core(gb, pointset, arity, homogeneous, count_reason):
         if g.is_zero():
             reasons.append("element %d is zero" % idx)
             continue
-        if homogeneous and not g.is_homogeneous():
+        if projective and not g.is_homogeneous():
             reasons.append("element %d is not homogeneous: %s" % (idx, g))
         leads[idx], lc = g.leading(gb.order)
         if lc != 1:
@@ -447,10 +457,24 @@ def _certify_core(gb, pointset, arity, homogeneous, count_reason):
         for j in sorted({j for e in g.terms for j in divisors[e]} - {i}):
             reasons.append("element %d is reducible by element %d" % (i, j))
     if reasons:
-        return reasons
-    reason = count_reason(leads, lambda e: col((0,) + e))
+        return CertReport(False, tuple(reasons))
+    if projective:
+        walk = _kernel_walk(arity, gb.order, s, lambda cs: [(col((0,) + e), 1) for e in cs], leads)
+        reason = next((
+            "degree %d: %d standard monomials but Hilbert function %d" % (d, len(standard) + len(new), len(standard))
+            for d, standard, new in walk if new
+        ), None)
+    elif not leads and arity:
+        reason = "zero ideal cannot be the ideal of a finite point set"
+    else:
+        try:
+            c = len(Staircase(arity, tuple(sorted(leads))).standard_monomials())
+        except ValueError:
+            reason = "staircase complement is infinite"
+        else:
+            reason = None if c == s else "%d standard monomials but %d points" % (c, s)
     if reason is None:
-        return []
+        return CertReport(True, ())
     # not accepted: reduce every pair, so that the reasons name each failing one
     failing = [
         "S-polynomial of elements %d and %d does not reduce to zero" % (i, j)
@@ -458,87 +482,13 @@ def _certify_core(gb, pointset, arity, homogeneous, count_reason):
         for j in range(i + 1, len(elements))
         if not normal_form(s_polynomial(elements[i], elements[j], gb.order), elements, gb.order).is_zero()
     ]
-    return failing or [reason]
-
-
-def certify(gb, pointset):
-    """Certificate that gb is the reduced basis, in its order gb.order, of
-    the vanishing ideal I of the point set.
-
-    Checks: every element homogeneous, monic and vanishing at every point;
-    autoreducedness; and the standard-monomial counts c_J(d) of J = <in(gb)>
-    equal the Hilbert function H of I degree by degree, walked by
-    _kernel_walk until its stop rule holds.  These prove it with no S-pair,
-    in any term order, as on homogeneous elements the proof uses only counts:
-
-    - Every element vanishes, so <gb> lies in I and J in in(I).  Hence
-      c_J(d) >= H(d), with equality in every degree iff J = in(I), that is
-      iff gb is a Groebner basis of I; monic and autoreduced, the reduced one.
-    - The comparison is _kernel_walk on J's leading exponents and the
-      points' values (the vanishing check's column table): as the leads
-      lead vanishing elements, its counts are H, and it ranks only J's
-      standard monomials, with no element yielded iff they are
-      independent, that is iff H(d) = c_J(d).  A degree with no more of
-      them than the walk's bound min(s, H(d-1) + 1) <= H(d) is not ranked.
-    - The walk stops after a degree d whose count c equals that of d-1,
-      with c <= d-1 and no corner of J beyond degree d-1.  Macaulay's bound
-      gives c^<d-1> = c, so by Gotzmann's persistence theorem J's count is c
-      in every degree from d-1 on.  H never decreases, is at most J's
-      count, and equals c at d, so it is c from d on as well: the counts
-      agree in every degree.
-    - If the counts always agree, H stays at s from some degree on, and
-      the stop rule holds by degree max(s, max corner degree) + 1; so the
-      comparison ends, with a verdict, after finitely many degrees.
-
-    The first degree d at which the walk yields an element is the first
-    that differs, and the walk's count there is H(d), which the reason
-    names; every S-pair is then reduced, so that each reason names a
-    failing check."""
-    if pointset.mode != PROJECTIVE:
-        raise ValueError("certify needs a projective point set")
-    m = pointset.dimension + 1
-
-    def hilbert_reason(leads, col):
-        s = len(pointset.points)
-        for d, standard, elements in _kernel_walk(m, gb.order, s, lambda cs: [(col(e), 1) for e in cs], leads):
-            if elements:
-                c = len(standard)
-                return "degree %d: %d standard monomials but Hilbert function %d" % (d, c + len(elements), c)
-        return None
-
-    reasons = _certify_core(gb, pointset, m, homogeneous=True, count_reason=hilbert_reason)
-    return CertReport(not reasons, tuple(reasons))
-
-
-def affine_certify(gb, pointset):
-    """Affine analogue of certify: vanishing, autoreducedness, and a finite
-    staircase complement of size equal to the point count s.
-
-    These prove gb to be the reduced basis of the vanishing ideal I with no
-    S-pair: <gb> lies in I, so J = <in(gb)> lies in in(I), which has exactly
-    s standard monomials; J has s as well, so J = in(I).  A basis that fails
-    is rejected; only then are its S-pairs reduced, as in certify."""
-    if pointset.mode != AFFINE:
-        raise ValueError("affine_certify needs an affine point set")
-    s = len(pointset.points)
-
-    def colength_reason(leads, col):
-        if not leads and pointset.dimension:
-            return "zero ideal cannot be the ideal of a finite point set"
-        try:
-            std = Staircase(pointset.dimension, tuple(sorted(leads))).standard_monomials()
-        except ValueError:
-            return "staircase complement is infinite"
-        return None if len(std) == s else "%d standard monomials but %d points" % (len(std), s)
-
-    reasons = _certify_core(gb, pointset, pointset.dimension, homogeneous=False, count_reason=colength_reason)
-    return CertReport(not reasons, tuple(reasons))
+    return CertReport(False, tuple(failing or [reason]))
 
 
 def _certified(gb, pointset):
-    """gb, once the certificate of its point set's mode accepts it; one that
-    fails is an engine's bug, raised as ArithmeticError."""
-    report = (certify if pointset.mode == PROJECTIVE else affine_certify)(gb, pointset)
+    """gb, once certify accepts it; one that fails is an engine's bug,
+    raised as ArithmeticError."""
+    report = certify(gb, pointset)
     if not report.passed:
         raise ArithmeticError("internal certification failed: %s" % "; ".join(report.reasons))
     return gb

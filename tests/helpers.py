@@ -8,16 +8,16 @@ dense Gauss-Jordan rref, the echelon kernel on Fraction rows, the Hilbert
 function as the rank of all degree-d monomials on Fraction rows, the normal
 form and certificates that rebuild the remainder on every step and reduce
 every S-pair, the merge that solves one linear system per candidate and
-the lift of the part at infinity that it was fed, the cone_basis that
+the lift of the part at infinity that it was fed, the cone basis that
 solves one per candidate and degree offset, and Buchberger's algorithm,
 the reference of the per-degree evaluation walk in any degree order.
 The term-order comparison, every monomial of a degree, monomial and
 polynomial evaluation over the rationals, per-degree standard counts,
-kernel-walk rows of fixed verdicts, a cone basis's degree offsets and a
-basis's relations are brute-force helpers that only the tests use;
-p1_chain and line_points build the sets whose Hilbert function rises by
-exactly one per degree, and large_sets names the large projective sets
-that CI times.
+kernel-walk rows of fixed verdicts, a chart's cone points, a cone
+basis's degree offsets and a basis's relations are brute-force helpers
+that only the tests use; p1_chain and line_points build the sets whose
+Hilbert function rises by exactly one per degree, and large_sets names the
+large projective sets that CI times.
 """
 
 import heapq
@@ -648,9 +648,9 @@ def reference_lift(gb_sub):
 
 
 # ---------------------------------------------------------------------------
-# cone_basis as first written: for each candidate projected corner and each
-# degree offset, one linear system on canonical-element coefficients; the
-# differential reference of the one-kernel-per-degree cone_basis
+# the cone basis as first written: for each candidate projected corner and
+# each degree offset, one linear system on canonical-element coefficients;
+# the differential reference of projective_gb on a chart's cone_points
 
 
 def canonical_element(sigma, gb):
@@ -664,6 +664,13 @@ def canonical_element(sigma, gb):
     if not all(e == sigma or not stair.contains(e) for e in f.terms):
         raise ArithmeticError("canonical element tail must avoid the staircase")
     return f
+
+
+def cone_points(chart):
+    """The points (1 : p) of P^n over the points p of an affine chart in
+    A^n: projective_gb of them is the chart's cone basis, in the ring with
+    one extra (smallest) variable X1."""
+    return projective_points(chart.dimension, [(1, *p) for p in chart.points])
 
 
 def cone_offsets(gb):
@@ -685,9 +692,9 @@ def reference_cone_basis(chart, trace=None):
     corner the degree offset r at which its system first became solvable.
     """
     if chart.mode != AFFINE:
-        raise ValueError("cone_basis needs an affine chart")
+        raise ValueError("reference_cone_basis needs an affine chart")
     if not chart.points:
-        raise ValueError("cone_basis needs a nonempty chart")
+        raise ValueError("reference_cone_basis needs a nonempty chart")
     n = chart.dimension
     glex, stair, dstd = buchberger_moeller(chart, LEX)
     m = 2 + max((total_degree(b) for b in dstd), default=0)

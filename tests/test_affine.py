@@ -29,8 +29,8 @@ from pointideals import (
     PointSet,
     Polynomial,
     Staircase,
-    affine_certify,
     affine_points,
+    certify,
     buchberger_moeller,
     poly_str,
     projective_points,
@@ -270,7 +270,7 @@ def test_basis_vanishes_and_certifies():
             for p in pts.points:
                 assert evaluate(g, p) == 0
         assert len(std) == 4
-        assert affine_certify(gb, pts).passed
+        assert certify(gb, pts).passed
 
 
 def test_incremental_evaluation_vectors_match_monomial_value(monkeypatch):

@@ -100,18 +100,17 @@ def test_gb_verify_flag(write, capsys):
 def _count_certificates(monkeypatch):
     """The names of the certificates run from now on, in order."""
     calls = []
-    for name in ("certify", "affine_certify"):
 
-        def counting(gb, ps, check=getattr(projective, name), name=name):
-            calls.append(name)
-            return check(gb, ps)
+    def counting(gb, ps, check=projective.certify):
+        calls.append("certify")
+        return check(gb, ps)
 
-        monkeypatch.setattr(projective, name, counting)
-        monkeypatch.setattr(cli, name, counting)
+    monkeypatch.setattr(projective, "certify", counting)
+    monkeypatch.setattr(cli, "certify", counting)
     return calls
 
 
-@pytest.mark.parametrize("doc, expected", [(P2_PARABOLA, ["certify"]), (AFF_ONE, ["affine_certify"])])
+@pytest.mark.parametrize("doc, expected", [(P2_PARABOLA, ["certify"]), (AFF_ONE, ["certify"])])
 def test_gb_verify_certifies_once(write, capsys, monkeypatch, doc, expected):
     # every printed basis is certified exactly once, --verify or not
     calls = _count_certificates(monkeypatch)
@@ -138,7 +137,7 @@ def test_compare_orders_certifies_both_bases(write, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "doc, command, name, spared",
-    [(AFF_ONE, "gb", "affine_certify", None), (P2_PARABOLA, "compare-orders", "certify", DEGLEX)],
+    [(AFF_ONE, "gb", "certify", None), (P2_PARABOLA, "compare-orders", "certify", DEGLEX)],
 )
 def test_failed_certificate_exits_3(write, capsys, monkeypatch, doc, command, name, spared):
     # the certificate fails every basis but those in the order `spared`: for
@@ -298,7 +297,7 @@ def _refuse_work(monkeypatch):
         raise AssertionError("work started")
 
     for name in ("_read", "projective_gb", "projective_bm", "buchberger_moeller", "hilbert_values",
-                 "_certified", "certify", "affine_certify", "staircase_of", "render_staircase"):
+                 "_certified", "certify", "staircase_of", "render_staircase"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -376,6 +375,36 @@ def test_rationals_past_the_digit_limit_exit_2(write, output):
         assert done.stderr == (
             "input error: a number has more than %d digits, the interpreter's limit for integer strings\n" % limit
         )
+
+
+def test_normalised_point_past_the_digit_limit_exits_2(write):
+    # each number of (1/77...7 : 33...3) is under the limit, but normalised
+    # to (1 : 77...7 * 33...3) the point has a coordinate past it, which no
+    # output or `verify` reason could print: every command refuses it as read
+    limit = sys.get_int_max_str_digits()
+    n = limit - 300
+    points = write("p.json", {"space": "projective", "dim": 1, "points": [["1/" + "7" * n, "3" * n]]})
+    basis = write("b.json", {"order": "deglex", "variables": 2, "basis": [[[[1, 0], "1"]]]})
+    for argv in (["verify", points, basis], ["hilbert", points], ["axes", points], ["gb", points]):
+        done = _cli_process(*argv)
+        assert done.returncode == EXIT_INPUT, argv
+        assert done.stdout == ""
+        assert done.stderr == (
+            "input error: a number has more than %d digits, the interpreter's limit for integer strings\n" % limit
+        )
+
+
+def test_deeply_nested_json_exits_2(write):
+    # a point or basis document nested deeper than json.loads can recurse
+    # is an input error, with one line on stderr
+    deep = "[" * 100000 + "]" * 100000
+    points = write("deep.json", '{"space": "projective", "dim": 1, "points": %s}' % deep)
+    basis = write("b.json", '{"order": "deglex", "variables": 2, "basis": %s}' % deep)
+    for argv in (["gb", points], ["verify", write("p.json", P1_THREE), basis]):
+        done = _cli_process(*argv)
+        assert done.returncode == EXIT_INPUT, argv
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("input error: invalid JSON:")
 
 
 def test_module_runs_as_a_process(write, capsys):

@@ -16,6 +16,7 @@ import pointideals
 from helpers import (
     buchberger,
     cone_offsets,
+    cone_points,
     evaluate,
     large_sets,
     line_points,
@@ -42,13 +43,11 @@ from pointideals import (
     GroebnerBasis,
     Polynomial,
     Staircase,
-    affine_certify,
     affine_points,
-    cone_basis,
     axis_census,
     buchberger_moeller,
     certify,
-    hilbert_function,
+    hilbert_values,
     poly_str,
     projective_bm,
     projective_gb,
@@ -67,7 +66,6 @@ from pointideals.projective import (
     _kernel_walk,
     _level,
     _normal_forms,
-    hilbert_values,
 )
 
 P1_THREE = [[1, 0], [1, 1], [0, 1]]
@@ -107,13 +105,13 @@ def test_split_charts_needs_projective():
 
 def test_cone_basis_two_points_on_a_line():
     chart = affine_points(1, [[0], [1]])
-    gb = cone_basis(chart)
+    gb = projective_gb(cone_points(chart))
     assert [poly_str(g) for g in gb.elements] == ["X2^2 - X1*X2"]
 
 
 def test_cone_basis_parabola_chart():
     chart = affine_points(2, [[0, 0], [1, 1], [2, 4]])
-    gb = cone_basis(chart)
+    gb = projective_gb(cone_points(chart))
     trace = cone_offsets(gb)
     assert [poly_str(g) for g in gb.elements] == [
         "X1*X3 - X2^2",
@@ -131,7 +129,7 @@ def test_cone_basis_parabola_chart():
 
 def test_cone_basis_output_is_homogeneous_and_reduced():
     chart = affine_points(2, [[1, 2], [3, 4], [0, 1], [2, 2]])
-    gb = cone_basis(chart)
+    gb = projective_gb(cone_points(chart))
     assert all(g.is_homogeneous() for g in gb.elements)
     leads = gb.leading_exponents()
     from pointideals.poly import exp_divides
@@ -173,19 +171,12 @@ def test_cone_basis_matches_reference():
         for kind in ("generic", "line", "moment"):
             chart = _chart(rng, n, s, kind, rng.choice((5, 10**3)))
             ref_trace = {}
-            gb = cone_basis(chart)
+            gb = projective_gb(cone_points(chart))
             assert gb == reference_cone_basis(chart, trace=ref_trace)
             trace = cone_offsets(gb)
             assert list(trace.items()) == list(ref_trace.items())
             offsets.update(trace.values())
     assert max(offsets) >= 2
-
-
-def test_cone_basis_rejects_empty_or_projective():
-    with pytest.raises(ValueError):
-        cone_basis(affine_points(1, []))
-    with pytest.raises(ValueError):
-        cone_basis(projective_points(1, [[1, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +206,6 @@ def test_degree_kernel_fails_to_stabilize():
     # never settles and the 4s + 8 guard stops it at degree 9
     with pytest.raises(RuntimeError, match="chart level failed to stabilize by degree 9"):
         _degree_kernel(2, DEGLEX, 0, unit_rows())
-
-
-def test_hilbert_function_rejects_negative_degree():
-    with pytest.raises(ValueError, match="degree must be nonnegative"):
-        hilbert_function(projective_points(1, P1_THREE), -1)
 
 
 def test_degree_kernel_skips_full_degrees(monkeypatch):
@@ -649,9 +635,9 @@ def test_coordinate_points_in_p2():
 
 def test_hilbert_function_values():
     p1 = projective_points(1, P1_THREE)
-    assert [hilbert_function(p1, d) for d in range(4)] == [1, 2, 3, 3]
+    assert list(islice(hilbert_values(p1), 4)) == [1, 2, 3, 3]
     p2 = projective_points(2, P2_COORD)
-    assert [hilbert_function(p2, d) for d in range(3)] == [1, 3, 3]
+    assert list(islice(hilbert_values(p2), 3)) == [1, 3, 3]
     # s points on a line: H(d) = min(d + 1, s), so the walk runs to d = s - 1
     chain = projective_points(1, [[1, Fraction(i, 7)] for i in range(39)] + [[0, 1]])
     assert list(islice(hilbert_values(chain), 42)) == [min(d + 1, 40) for d in range(42)]
@@ -703,23 +689,23 @@ def test_hilbert_function_matches_reference():
     for s in [0] + [rng.randint(1, 7) for _ in range(24)]:
         n = rng.randint(1, 3)
         ps = _random_hilbert_points(rng, n, s)
-        for d in range(s + 3):
-            assert hilbert_function(ps, d) == reference_hilbert_function(ps, d)
+        for d, h in zip(range(s + 3), hilbert_values(ps)):
+            assert h == reference_hilbert_function(ps, d)
     # up to P^4 and 12 points; past the third degree at H = s, H stays at s
     rng = random.Random(1019)
     for _ in range(12):
         s, n = rng.randint(8, 12), rng.randint(1, 4)
         ps = _random_hilbert_points(rng, n, s)
         at_s = 0
-        for d in range(s + 3):
+        for d, h in zip(range(s + 3), hilbert_values(ps)):
             expected = reference_hilbert_function(ps, d)
-            assert hilbert_function(ps, d) == expected
+            assert h == expected
             at_s += expected == s
             if at_s == 3:
                 break
     # equal numerators, distinct points: the denominators must count
     ps = projective_points(1, [[1, Fraction(1, k)] for k in (2, 3, 5)])
-    assert [hilbert_function(ps, d) for d in range(4)] == [1, 2, 3, 3]
+    assert list(islice(hilbert_values(ps), 4)) == [1, 2, 3, 3]
 
 
 def _closed_form_cases():
@@ -798,17 +784,19 @@ def test_projective_gb_needs_projective_input():
 
 def test_hilbert_entry_points_name_themselves():
     aff = affine_points(1, [[1]])
-    with pytest.raises(ValueError, match="^hilbert_function needs a projective point set$"):
-        hilbert_function(aff, 0)
     with pytest.raises(ValueError, match="^hilbert_values needs a projective point set$"):
         next(hilbert_values(aff))
-    # the certificates check the mode too: read as affine, (1:5) would be the
-    # point 1, where x^2 - x vanishes
-    with pytest.raises(ValueError, match="^certify needs a projective point set$"):
-        certify(unit_basis(2), aff)
+
+
+def test_certify_reads_the_mode_from_the_point_set():
+    # a basis in the other mode's number of variables is rejected for its
+    # arity, not read in that mode: read as affine, (1:5) would be the point
+    # 1, where x^2 - x vanishes
     x2_minus_x = GroebnerBasis(LEX, (Polynomial(1, [((2,), 1), ((1,), -1)]),))
-    with pytest.raises(ValueError, match="^affine_certify needs an affine point set$"):
-        affine_certify(x2_minus_x, projective_points(1, [[1, 5], [0, 1]]))
+    report = certify(x2_minus_x, projective_points(1, [[1, 5], [0, 1]]))
+    assert report == (False, ("basis arity 1 does not match ambient 2",))
+    report = certify(unit_basis(2), affine_points(1, [[1]]))
+    assert report == (False, ("basis arity 2 does not match ambient 1",))
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +856,8 @@ def test_certify_rejects_inhomogeneous_element():
 
 def test_certify_reports_a_zero_element():
     zero = GroebnerBasis(DEGLEX, (Polynomial(2, []), Polynomial.variable(2, 0)))
-    for check, ps in ((certify, projective_points(1, [[1, 2]])), (affine_certify, affine_points(2, [[1, 2]]))):
-        assert check(zero, ps).reasons == ("element 0 is zero", "element 1 does not vanish at ['1', '2']")
+    for ps in (projective_points(1, [[1, 2]]), affine_points(2, [[1, 2]])):
+        assert certify(zero, ps).reasons == ("element 0 is zero", "element 1 does not vanish at ['1', '2']")
 
 
 def test_kernel_walk_does_not_stop_at_a_false_plateau():
@@ -1055,8 +1043,8 @@ def _candidates(gb, ps, other, rng):
 
 def test_certificates_reject_an_element_of_another_arity():
     mixed = GroebnerBasis(DEGLEX, (Polynomial(2, [((1, 0), 1)]), Polynomial(3, [((0, 1, 0), 1)])))
-    for check, ps in ((certify, projective_points(1, [[1, 0]])), (affine_certify, affine_points(2, [[0, 0]]))):
-        report = check(mixed, ps)
+    for ps in (projective_points(1, [[1, 0]]), affine_points(2, [[0, 0]])):
+        report = certify(mixed, ps)
         assert report.reasons == ("basis arity 3 does not match ambient 2",)
 
 
@@ -1087,7 +1075,7 @@ def test_affine_certify_matches_reference():
         for order in (LEX, DEGLEX, DEGREVLEX):
             gb = buchberger_moeller(ps, order)[0]
             for cand, points in _candidates(gb, ps, other, rng):
-                report = affine_certify(cand, points)
+                report = certify(cand, points)
                 assert report == reference_affine_certify(cand, points)
                 spair_rejects += any(r.startswith("S-polynomial") for r in report.reasons)
     assert spair_rejects > 0
@@ -1111,7 +1099,7 @@ def test_certificates_match_reference_on_random_candidates(seed):
         other = random_affine(rng, n, s)
         gb = buchberger_moeller(ps, rng.choice([LEX, DEGLEX]))[0]
         for cand, points in _candidates(gb, ps, other, rng):
-            assert affine_certify(cand, points) == reference_affine_certify(cand, points)
+            assert certify(cand, points) == reference_affine_certify(cand, points)
 
 
 def _inhomogeneous_candidates(gb, ps, rng):
@@ -1161,7 +1149,7 @@ def test_certificates_match_reference_on_inhomogeneous_candidates():
         }))
         for order in (LEX, DEGLEX):
             for cand in _inhomogeneous_candidates(buchberger_moeller(aff, order)[0], aff, rng):
-                assert affine_certify(cand, aff) == reference_affine_certify(cand, aff)
+                assert certify(cand, aff) == reference_affine_certify(cand, aff)
     assert vanish_at_first > 0
 
 
@@ -1179,7 +1167,7 @@ def test_accepted_bases_reduce_no_s_pair(monkeypatch):
         assert certify(projective_gb(ps), ps).passed
         aff = random_affine(rng, rng.randint(2, 3), rng.randint(2, 7))
         for order in (LEX, DEGLEX):
-            assert affine_certify(buchberger_moeller(aff, order)[0], aff).passed
+            assert certify(buchberger_moeller(aff, order)[0], aff).passed
     assert pairs == []
     # a dropped-element basis is rejected, and then every pair is reduced
     ps = projective_points(2, [[1, 0, 0], [1, 1, 1], [1, 2, 4], [0, 0, 1]])
@@ -1263,7 +1251,7 @@ def test_certificates_match_reference_on_unreduced_bases():
         for order in (LEX, DEGLEX):
             agb = buchberger_moeller(aff, order)[0]
             for cand in _unreduced_candidates(agb, same_degree=False):
-                report = affine_certify(cand, aff)
+                report = certify(cand, aff)
                 assert report == reference_affine_certify(cand, aff)
                 assert any("reducible" in r for r in report.reasons)
                 tails_with_a_lead += len(cand.elements) == len(agb.elements)
